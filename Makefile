@@ -13,7 +13,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/hyracks ./internal/frame ./internal/cluster ./internal/jsonparse ./internal/index
+	$(GO) test -race ./internal/hyracks ./internal/frame ./internal/cluster ./internal/jsonparse ./internal/index ./internal/item ./internal/runtime ./internal/spill
 
 fmt:
 	gofmt -l .
@@ -86,10 +86,12 @@ profile-smoke:
 # fuzz-smoke runs the structural-kernel fuzzers briefly: the three-way skip
 # differential (structural-index skip, byte-class skip, token-level reference,
 # cross-checked against encoding/json), the record-boundary scanner against
-# its scalar reference over the chunk-size sweep, and the speculative parallel
-# indexer against the sequential builder across worker/chunk/grain sweeps.
+# its scalar reference over the chunk-size sweep, the speculative parallel
+# indexer against the sequential builder across worker/chunk/grain sweeps,
+# and the encoded scan's transcoder against encoding the parsed items.
 # Seeds under testdata/fuzz are always replayed.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzRawSkipDifferential -fuzztime=10s ./internal/jsonparse
 	$(GO) test -run='^$$' -fuzz=FuzzBoundaryScanner -fuzztime=10s ./internal/jsonparse
 	$(GO) test -run='^$$' -fuzz=FuzzSpeculativeIndex -fuzztime=10s ./internal/jsonparse
+	$(GO) test -run='^$$' -fuzz=FuzzEncodedScan -fuzztime=10s ./internal/jsonparse

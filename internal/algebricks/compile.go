@@ -148,6 +148,9 @@ func exprEval(e Expr, schema []Var) (runtime.Evaluator, error) {
 	case *ConstExpr:
 		return runtime.ConstEval{Seq: x.Seq}, nil
 	case *CallExpr:
+		if col, key, ok := fieldAccess(x, schema); ok {
+			return runtime.NewFieldEval(col, key), nil
+		}
 		fn, err := runtime.LookupFunction(x.Fn)
 		if err != nil {
 			return nil, err
@@ -164,6 +167,31 @@ func exprEval(e Expr, schema []Var) (runtime.Evaluator, error) {
 	default:
 		return nil, fmt.Errorf("algebricks: unknown expression %T", e)
 	}
+}
+
+// fieldAccess recognizes value($v, "key") over a schema column with a
+// constant string key, which lowers to runtime.FieldEval.
+func fieldAccess(e *CallExpr, schema []Var) (int, string, bool) {
+	if e.Fn != "value" || len(e.Args) != 2 {
+		return 0, "", false
+	}
+	v, ok := e.Args[0].(*VarExpr)
+	if !ok {
+		return 0, "", false
+	}
+	c, ok := e.Args[1].(*ConstExpr)
+	if !ok || len(c.Seq) != 1 {
+		return 0, "", false
+	}
+	key, ok := c.Seq[0].(item.String)
+	if !ok {
+		return 0, "", false
+	}
+	col, err := columnOf(schema, v.V)
+	if err != nil {
+		return 0, "", false
+	}
+	return col, string(key), true
 }
 
 // Aggregate function lowering tables: logical name to physical aggregate

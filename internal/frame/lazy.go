@@ -59,6 +59,17 @@ func (t *LazyTuple) RawField(i int) []byte { return t.raw[i] }
 // the frame buffer.
 func (t *LazyTuple) Raw() [][]byte { return t.raw }
 
+// EncodedField returns the encoded bytes of base field i while it has not
+// been decoded. Once it is decoded (eager mode decodes every field up
+// front), and for an appended field, it reports false: reading the decoded
+// field with Field is then the cheaper path.
+func (t *LazyTuple) EncodedField(i int) ([]byte, bool) {
+	if i < 0 || i >= len(t.raw) || t.dec[i] {
+		return nil, false
+	}
+	return t.raw[i], true
+}
+
 // Field decodes field i on first access and memoizes the result. Appended
 // fields are returned as stored. The returned sequence is freshly allocated
 // (never aliases frame bytes) and may be retained by the caller.

@@ -411,10 +411,12 @@ func feedSource(ctx *TaskCtx, f *Fragment, w Writer, in sourceInput) error {
 
 // runScan drains the fragment's morsel queue and emits one single-field
 // tuple per projected item. Raw JSON morsels stream through a fixed chunk
-// buffer (charged to the accountant), so scan memory is O(chunk + emitted
-// item), independent of the file size. When no executor-built queue is
-// present (a fragment run outside RunStaged/RunPipelined), an equivalent
-// statically dealt queue is built on the fly.
+// buffer (charged to the accountant) and each projected value is transcoded
+// from lexer tokens straight into its encoded field, so scan memory is
+// O(chunk + emitted item), independent of the file size, and no item tree
+// is built. When no executor-built queue is present (a fragment run outside
+// RunStaged/RunPipelined), an equivalent statically dealt queue is built on
+// the fly.
 func runScan(ctx *TaskCtx, s ScanSource, partitions int, w Writer) error {
 	if ctx.RT == nil || ctx.RT.Source == nil {
 		return fmt.Errorf("hyracks: scan without a data source")
@@ -435,7 +437,7 @@ func runScan(ctx *TaskCtx, s ScanSource, partitions int, w Writer) error {
 			st.ColdIndexBuilds += qs.coldIndexBuilds
 		}
 	}
-	sc := &scanState{ctx: ctx, b: newFrameBuilder(ctx, w), field: make([][]byte, 1), seq1: make(item.Sequence, 1)}
+	sc := &scanState{ctx: ctx, b: newFrameBuilder(ctx, w), field: make([][]byte, 1)}
 	for {
 		m, stolen, ok := q.take(ctx.Partition)
 		if !ok {
@@ -454,32 +456,40 @@ func runScan(ctx *TaskCtx, s ScanSource, partitions int, w Writer) error {
 }
 
 // scanState is the per-task scratch of a scan: the lexer (with its chunk and
-// token buffers), the encode buffer, and the one-field tuple slice are all
-// reused across every morsel and every emitted item, so the steady-state
-// emit path allocates nothing beyond what the frame builder copies in.
+// token buffers), the transcoder and its encode buffer, and the one-field
+// tuple slice are all reused across every morsel and every emitted item, so
+// the steady-state emit path allocates nothing beyond what the frame builder
+// copies in.
 type scanState struct {
 	ctx   *TaskCtx
 	b     *frameBuilder
 	lx    *jsonparse.Lexer
-	enc   []byte
-	field [][]byte      // len 1, points at enc
-	seq1  item.Sequence // len 1, the item being emitted
+	tc    jsonparse.Transcoder
+	enc   []byte   // encode buffer of the ADM path
+	field [][]byte // len 1, the field being emitted
 }
 
-// emit encodes one projected item into the reusable buffer and appends it to
-// the current frame (which copies the bytes, so the buffer is free again).
-func (sc *scanState) emit(it item.Item) error {
+// emit appends one projected item, already in the encoded one-item sequence
+// form, to the current frame (which copies the bytes, so the caller's buffer
+// is free again). The accountant is charged the encoded bytes held meanwhile.
+func (sc *scanState) emit(seq []byte) error {
 	if st := sc.ctx.RT.Stats; st != nil {
 		st.TuplesProduced++
 	}
-	release := sc.ctx.account(item.SizeBytes(it))
-	sc.seq1[0] = it
-	sc.enc = item.EncodeSeq(sc.enc[:0], sc.seq1)
-	sc.field[0] = sc.enc
+	n := int64(len(seq))
+	sc.ctx.accountHold(n)
+	sc.field[0] = seq
 	err := sc.b.emit(sc.field)
-	sc.seq1[0] = nil
-	release()
+	sc.field[0] = nil
+	sc.ctx.releaseHold(n)
 	return err
+}
+
+// emitItem encodes an item (the ADM path, which decodes whole documents)
+// and emits it.
+func (sc *scanState) emitItem(it item.Item) error {
+	sc.enc = item.Encode(append(sc.enc[:0], 1), it)
+	return sc.emit(sc.enc)
 }
 
 // scanMorsel streams one morsel's records into the frame builder. Errors are
@@ -552,7 +562,7 @@ func scanMorselRecords(sc *scanState, s ScanSource, m morsel) error {
 	if m.wholeFile() {
 		limit = -1
 	}
-	_, err := jsonparse.ScanValues(sc.lx, s.Project, limit, sc.emit)
+	_, err := sc.tc.ScanEncoded(sc.lx, s.Project, limit, sc.emit)
 	return err
 }
 
@@ -599,7 +609,7 @@ func scanADM(ctx *TaskCtx, sc *scanState, s ScanSource, m morsel) error {
 	releaseDoc := ctx.account(item.SizeBytes(doc))
 	defer releaseDoc()
 	for _, it := range jsonparse.ApplyPath(doc, s.Project) {
-		if err := sc.emit(it); err != nil {
+		if err := sc.emitItem(it); err != nil {
 			return err
 		}
 	}

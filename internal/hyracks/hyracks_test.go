@@ -50,7 +50,19 @@ func constStr(s string) runtime.Evaluator {
 	return runtime.ConstEval{Seq: item.Single(item.String(s))}
 }
 
+// call builds a function-call evaluator the way the physical compiler does:
+// value(column, "key") lowers to runtime.FieldEval, so every job here runs
+// the field-access path queries run (and eager mode its generic fallback).
 func call(fn string, args ...runtime.Evaluator) runtime.Evaluator {
+	if fn == "value" && len(args) == 2 {
+		c, isCol := args[0].(runtime.ColumnEval)
+		k, isConst := args[1].(runtime.ConstEval)
+		if isCol && isConst && len(k.Seq) == 1 {
+			if key, ok := k.Seq[0].(item.String); ok {
+				return runtime.NewFieldEval(c.Col, string(key))
+			}
+		}
+	}
 	return runtime.CallEval{Fn: runtime.MustFunction(fn), Args: args}
 }
 

@@ -2,7 +2,6 @@ package hyracks
 
 import (
 	"bytes"
-	"fmt"
 
 	"vxq/internal/frame"
 	"vxq/internal/item"
@@ -13,17 +12,18 @@ import (
 // their combined hash without decoding or re-allocating anything in the
 // steady state. Column-reference keys (the overwhelmingly common case after
 // the rewrite rules) are sliced straight out of the tuple's raw fields;
-// computed keys are evaluated and encoded into a reusable buffer.
+// field keys (value($v, "k") over a raw column) copy the field's encoded
+// bytes out of the tuple behind a sequence count; other computed keys are
+// evaluated and encoded into a reusable buffer.
 //
 // The returned field slices are scratch: they alias either the frame or the
 // encoder's buffer and are only valid until the next resolve call. Callers
 // that retain keys (group tables, join builds) must copy them (byteArena).
 type keyEncoder struct {
 	evals  []runtime.Evaluator
-	cols   []int    // column per key when every eval is a ColumnEval, else nil
 	fields [][]byte // scratch: resolved encoded key fields
-	buf    []byte   // scratch: encodings of computed keys
-	offs   []int    // scratch: field boundaries inside buf
+	buf    []byte   // scratch: encodings of field and computed keys
+	spans  [][2]int // scratch: each key's bytes in buf; {-1, -1} for raw keys
 }
 
 // testHashEncodedField, when non-nil, replaces item.HashEncoded so tests can
@@ -38,18 +38,7 @@ func hashEncodedField(b []byte) (uint64, error) {
 }
 
 func newKeyEncoder(evals []runtime.Evaluator) *keyEncoder {
-	ke := &keyEncoder{evals: evals, fields: make([][]byte, len(evals))}
-	cols := make([]int, len(evals))
-	for i, ev := range evals {
-		ce, ok := ev.(runtime.ColumnEval)
-		if !ok {
-			cols = nil
-			break
-		}
-		cols[i] = ce.Col
-	}
-	ke.cols = cols
-	return ke
+	return &keyEncoder{evals: evals, fields: make([][]byte, len(evals)), spans: make([][2]int, len(evals))}
 }
 
 // resolve computes the encoded key fields and combined hash of one tuple.
@@ -57,34 +46,43 @@ func newKeyEncoder(evals []runtime.Evaluator) *keyEncoder {
 // 1469598103934665603 and folds each key's sequence hash with h*prime ^ hk,
 // where HashEncoded == HashSeq by the item package's consistency guarantee.
 func (ke *keyEncoder) resolve(ctx *TaskCtx, lt *frame.LazyTuple) ([][]byte, uint64, error) {
-	if ke.cols != nil {
-		nraw := lt.RawFieldCount()
-		for i, c := range ke.cols {
-			if c < 0 || c >= nraw {
-				// Match ColumnEval's bounds error (appended fields never
-				// reach key resolution: exchanges and blocking operators see
-				// only framed tuples).
-				return nil, 0, fmt.Errorf("runtime: column %d out of range [0,%d)", c, lt.FieldCount())
+	// Buffer-backed keys record spans and are sliced after the loop,
+	// because append may move the buffer while later keys are encoded.
+	ke.buf = ke.buf[:0]
+	nraw := lt.RawFieldCount()
+	for i, ev := range ke.evals {
+		ke.spans[i] = [2]int{-1, -1}
+		start := len(ke.buf)
+		switch e := ev.(type) {
+		case runtime.ColumnEval:
+			if e.Col >= 0 && e.Col < nraw {
+				ke.fields[i] = lt.RawField(e.Col)
+				continue
 			}
-			ke.fields[i] = lt.RawField(c)
-		}
-	} else {
-		// Computed keys: evaluate, then encode into one buffer. Offsets are
-		// recorded during the loop and sliced afterwards, because append may
-		// move the buffer while later keys are encoded.
-		ke.buf = ke.buf[:0]
-		ke.offs = ke.offs[:0]
-		for _, ev := range ke.evals {
-			v, err := ev.Eval(ctx.RT, lt)
-			if err != nil {
-				return nil, 0, err
+		case runtime.FieldEval:
+			if e.Col >= 0 && e.Col < nraw {
+				v, ok, err := item.FieldEncoded(lt.RawField(e.Col), e.Key)
+				if err == nil && ok {
+					if v == nil {
+						ke.buf = append(ke.buf, 0)
+					} else {
+						ke.buf = append(append(ke.buf, 1), v...)
+					}
+					ke.spans[i] = [2]int{start, len(ke.buf)}
+					continue
+				}
 			}
-			ke.offs = append(ke.offs, len(ke.buf))
-			ke.buf = item.EncodeSeq(ke.buf, v)
 		}
-		ke.offs = append(ke.offs, len(ke.buf))
-		for i := range ke.evals {
-			ke.fields[i] = ke.buf[ke.offs[i]:ke.offs[i+1]]
+		v, err := ev.Eval(ctx.RT, lt)
+		if err != nil {
+			return nil, 0, err
+		}
+		ke.buf = item.EncodeSeq(ke.buf, v)
+		ke.spans[i] = [2]int{start, len(ke.buf)}
+	}
+	for i, sp := range ke.spans {
+		if sp[0] >= 0 {
+			ke.fields[i] = ke.buf[sp[0]:sp[1]]
 		}
 	}
 	var h uint64 = 1469598103934665603

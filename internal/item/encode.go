@@ -38,21 +38,13 @@ const (
 func Encode(dst []byte, it Item) []byte {
 	switch x := it.(type) {
 	case Null:
-		return append(dst, tagNull)
+		return AppendNull(dst)
 	case Bool:
-		if x {
-			return append(dst, tagTrue)
-		}
-		return append(dst, tagFalse)
+		return AppendBool(dst, bool(x))
 	case Number:
-		dst = append(dst, tagNumber)
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], math.Float64bits(float64(x)))
-		return append(dst, b[:]...)
+		return AppendNumber(dst, float64(x))
 	case String:
-		dst = append(dst, tagString)
-		dst = binary.AppendUvarint(dst, uint64(len(x)))
-		return append(dst, x...)
+		return AppendString(dst, x)
 	case Array:
 		dst = append(dst, tagArray)
 		dst = binary.AppendUvarint(dst, uint64(len(x)))
@@ -64,8 +56,7 @@ func Encode(dst []byte, it Item) []byte {
 		dst = append(dst, tagObject)
 		dst = binary.AppendUvarint(dst, uint64(len(x.keys)))
 		for i, k := range x.keys {
-			dst = binary.AppendUvarint(dst, uint64(len(k)))
-			dst = append(dst, k...)
+			dst = AppendKey(dst, k)
 			dst = Encode(dst, x.vals[i])
 		}
 		return dst
@@ -76,6 +67,70 @@ func Encode(dst []byte, it Item) []byte {
 	default:
 		panic(fmt.Sprintf("item: cannot encode %T", it))
 	}
+}
+
+// The Append* functions write Encode's layout piece by piece, for producers
+// that build the encoding straight from another representation (the raw-JSON
+// transcoder) without materializing an Item. Their output is byte-identical
+// to Encode of the corresponding item.
+
+// AppendNull appends the encoding of Null.
+func AppendNull(dst []byte) []byte { return append(dst, tagNull) }
+
+// AppendBool appends the encoding of Bool(b).
+func AppendBool(dst []byte, b bool) []byte {
+	if b {
+		return append(dst, tagTrue)
+	}
+	return append(dst, tagFalse)
+}
+
+// AppendNumber appends the encoding of Number(f).
+func AppendNumber(dst []byte, f float64) []byte {
+	return binary.LittleEndian.AppendUint64(append(dst, tagNumber), math.Float64bits(f))
+}
+
+// AppendString appends the encoding of String(s).
+func AppendString[S ~string | ~[]byte](dst []byte, s S) []byte {
+	dst = binary.AppendUvarint(append(dst, tagString), uint64(len(s)))
+	return append(dst, s...)
+}
+
+// AppendKey appends one object pair's key; the pair's value follows it.
+func AppendKey[S ~string | ~[]byte](dst []byte, k S) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(k)))
+	return append(dst, k...)
+}
+
+// AppendArrayHeader and AppendObjectHeader open a container whose member
+// count is not known yet: they append the tag and a one-byte count
+// placeholder and return its position, which PatchCount fills once the
+// members have been appended.
+func AppendArrayHeader(dst []byte) ([]byte, int) {
+	return append(dst, tagArray, 0), len(dst) + 1
+}
+
+// AppendObjectHeader is AppendArrayHeader for an object; each pair is then
+// AppendKey followed by the value's encoding.
+func AppendObjectHeader(dst []byte) ([]byte, int) {
+	return append(dst, tagObject, 0), len(dst) + 1
+}
+
+// PatchCount writes the member count n into the placeholder at slot. A count
+// above 127 needs a longer uvarint, so the bytes after the placeholder shift
+// right to make room; the result stays the canonical (minimal) encoding.
+func PatchCount(dst []byte, slot, n int) []byte {
+	if n < 0x80 {
+		dst[slot] = byte(n)
+		return dst
+	}
+	var tmp [binary.MaxVarintLen64]byte
+	w := binary.PutUvarint(tmp[:], uint64(n))
+	old := len(dst)
+	dst = append(dst, tmp[:w-1]...)
+	copy(dst[slot+w:], dst[slot+1:old])
+	copy(dst[slot:], tmp[:w])
+	return dst
 }
 
 // Decode decodes one item from buf, returning the item and the number of

@@ -98,6 +98,50 @@ func IsEmptySeqEncoded(buf []byte) bool {
 	return w > 0 && n == 0
 }
 
+// FieldEncoded is value(obj, key) over an encoded sequence, the pointable
+// access that lets an evaluator read one field of a tuple without decoding
+// the object around it. When buf encodes exactly one object it returns the
+// encoded item stored under key (a sub-slice of buf, nil when the object has
+// no such key) and ok = true. For any other shape (an empty or multi-item
+// sequence, or a single non-object) ok is false and the caller evaluates
+// value() on decoded items instead. The whole buffer is validated either
+// way, so truncated or malformed input yields an error, never a panic.
+func FieldEncoded(buf []byte, key string) (val []byte, ok bool, err error) {
+	n, pos, err := encodedCount(buf, 0, "sequence")
+	if err != nil {
+		return nil, false, err
+	}
+	ok = n == 1 && pos < len(buf) && buf[pos] == tagObject
+	if ok {
+		var m uint64
+		if m, pos, err = encodedCount(buf, pos+1, "object"); err != nil {
+			return nil, false, err
+		}
+		for i := uint64(0); i < m; i++ {
+			k, vpos, err := encodedKey(buf, pos)
+			if err != nil {
+				return nil, false, err
+			}
+			if pos, err = skipEncodedItem(buf, vpos); err != nil {
+				return nil, false, err
+			}
+			if val == nil && string(k) == key {
+				val = buf[vpos:pos]
+			}
+		}
+	} else {
+		for i := uint64(0); i < n; i++ {
+			if pos, err = skipEncodedItem(buf, pos); err != nil {
+				return nil, false, err
+			}
+		}
+	}
+	if pos != len(buf) {
+		return nil, false, fmt.Errorf("item: %d trailing bytes after sequence", len(buf)-pos)
+	}
+	return val, ok, nil
+}
+
 // hashEncodedItem folds one encoded item at buf[pos:] into h, mirroring
 // hashItem over the decoded form, and returns the new hash and the position
 // just past the item.
@@ -416,10 +460,10 @@ func encodedBytes(buf []byte, pos int, what string) ([]byte, int, error) {
 		return nil, 0, fmt.Errorf("item: bad %s length", what)
 	}
 	pos += w
-	end := pos + int(n)
-	if int(n) < 0 || end > len(buf) {
+	if n > uint64(len(buf)-pos) {
 		return nil, 0, fmt.Errorf("item: truncated %s", what)
 	}
+	end := pos + int(n)
 	return buf[pos:end], end, nil
 }
 

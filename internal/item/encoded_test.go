@@ -1,6 +1,8 @@
 package item
 
 import (
+	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -151,5 +153,122 @@ func TestSeqCountEncoded(t *testing.T) {
 	}
 	if IsEmptySeqEncoded(nil) {
 		t.Error("IsEmptySeqEncoded(nil) = true")
+	}
+}
+
+// TestQuickFieldEncodedMatchesValue is the pointable property: for a random
+// object and a key that is present or absent, FieldEncoded over the encoded
+// one-object sequence returns exactly Encode(obj.Value(key)), or nil when
+// the object has no such key.
+func TestQuickFieldEncodedMatchesValue(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	for iter := 0; iter < 2000; iter++ {
+		var o *Object
+		for o == nil {
+			o, _ = randomItem(r, 3).(*Object)
+		}
+		// Keys are single letters a..h, so "z" is always absent and a random
+		// letter is present about half the time.
+		for _, key := range []string{string(rune('a' + r.Intn(8))), "z", ""} {
+			buf := EncodeSeq(nil, Single(o))
+			val, ok, err := FieldEncoded(buf, key)
+			if err != nil || !ok {
+				t.Fatalf("FieldEncoded(%s, %q) = ok %v, err %v", JSON(o), key, ok, err)
+			}
+			var want []byte
+			if v := o.Value(key); v != nil {
+				want = Encode(nil, v)
+			}
+			if !bytes.Equal(val, want) {
+				t.Fatalf("FieldEncoded(%s, %q) = % x, want % x", JSON(o), key, val, want)
+			}
+		}
+	}
+}
+
+// TestFieldEncodedNotApplicable: every shape other than exactly one object
+// reports ok = false without error, so the caller takes the generic path.
+func TestFieldEncodedNotApplicable(t *testing.T) {
+	obj := ObjectFromPairs("a", Number(1))
+	for _, s := range []Sequence{
+		nil,
+		Single(String("a")),
+		Single(Array{obj}),
+		Single(Null{}),
+		Single(DateTime{Year: 2003, Month: 12, Day: 25}),
+		{obj, obj},
+		{obj, Number(2)},
+	} {
+		val, ok, err := FieldEncoded(EncodeSeq(nil, s), "a")
+		if err != nil || ok || val != nil {
+			t.Errorf("FieldEncoded(%s) = (% x, %v, %v), want not applicable", JSONSeq(s), val, ok, err)
+		}
+	}
+}
+
+// TestFieldEncodedRejectsTruncation: every proper prefix of a valid encoded
+// sequence, whatever its shape, is an error and never a panic, and so is a
+// trailing byte.
+func TestFieldEncodedRejectsTruncation(t *testing.T) {
+	r := rand.New(rand.NewSource(9))
+	seqs := []Sequence{Single(ObjectFromPairs("a", Number(1), "b", Array{String("x"), Null{}}, "c", ObjectFromPairs("d", Bool(true))))}
+	for i := 0; i < 200; i++ {
+		s := make(Sequence, r.Intn(3))
+		for j := range s {
+			s[j] = randomItem(r, 3)
+		}
+		seqs = append(seqs, s)
+	}
+	for _, s := range seqs {
+		buf := EncodeSeq(nil, s)
+		for cut := 0; cut < len(buf); cut++ {
+			if _, _, err := FieldEncoded(buf[:cut], "a"); err == nil {
+				t.Fatalf("FieldEncoded(% x) (prefix %d of %s) = nil error", buf[:cut], cut, JSONSeq(s))
+			}
+		}
+		if _, _, err := FieldEncoded(append(buf, 0), "a"); err == nil {
+			t.Fatalf("FieldEncoded with a trailing byte after %s = nil error", JSONSeq(s))
+		}
+	}
+	// A string length past the end of the buffer must not overflow the
+	// bounds check.
+	huge := []byte{1, tagObject, 1, 1, 'a', tagString, 0xfe, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f}
+	if _, _, err := FieldEncoded(huge, "a"); err == nil {
+		t.Fatal("FieldEncoded with an overflowing string length = nil error")
+	}
+}
+
+// TestPatchCountMatchesEncode: a container built with a one-byte count
+// placeholder and patched afterwards encodes exactly as Encode does, across
+// the one/two/three-byte uvarint boundaries.
+func TestPatchCountMatchesEncode(t *testing.T) {
+	for _, n := range []int{0, 1, 127, 128, 300, 16383, 16384} {
+		arr := make(Array, n)
+		keys := make([]string, n)
+		vals := make([]Item, n)
+		for i := range arr {
+			arr[i] = Number(float64(i))
+			keys[i] = fmt.Sprint("k", i)
+			vals[i] = String("v")
+		}
+		obj := MustObject(keys, vals)
+
+		buf, slot := AppendArrayHeader([]byte{0xaa})
+		for _, m := range arr {
+			buf = AppendNumber(buf, float64(m.(Number)))
+		}
+		buf = PatchCount(buf, slot, n)
+		if want := Encode([]byte{0xaa}, arr); !bytes.Equal(buf, want) {
+			t.Fatalf("array of %d: patched encoding differs from Encode", n)
+		}
+
+		buf, slot = AppendObjectHeader(nil)
+		for i, k := range keys {
+			buf = AppendString(AppendKey(buf, k), string(vals[i].(String)))
+		}
+		buf = PatchCount(buf, slot, n)
+		if want := Encode(nil, obj); !bytes.Equal(buf, want) {
+			t.Fatalf("object of %d: patched encoding differs from Encode", n)
+		}
 	}
 }

@@ -110,16 +110,45 @@ func NewObject(keys []string, vals []Item) (*Object, error) {
 	if len(keys) != len(vals) {
 		panic("item: NewObject key/value length mismatch")
 	}
-	if len(keys) > 1 {
-		seen := make(map[string]struct{}, len(keys))
-		for _, k := range keys {
-			if _, dup := seen[k]; dup {
-				return nil, fmt.Errorf("item: duplicate object key %q", k)
-			}
-			seen[k] = struct{}{}
-		}
+	if k, dup := firstDuplicate(keys); dup {
+		return nil, DuplicateKeyError(k)
 	}
 	return &Object{keys: keys, vals: vals}, nil
+}
+
+// DuplicateKeyError is the error NewObject reports for a repeated object
+// key. Producers that write object encodings without building an Object
+// report the same error.
+func DuplicateKeyError(key string) error {
+	return fmt.Errorf("item: duplicate object key %q", key)
+}
+
+// smallObjectKeys is the key count up to which the duplicate check scans
+// pairwise: for the handful of keys typical of JSON records that beats
+// allocating a set per object.
+const smallObjectKeys = 8
+
+// firstDuplicate returns the first key (in order) that repeats an earlier
+// one.
+func firstDuplicate(keys []string) (string, bool) {
+	if len(keys) <= smallObjectKeys {
+		for j := 1; j < len(keys); j++ {
+			for i := 0; i < j; i++ {
+				if keys[i] == keys[j] {
+					return keys[j], true
+				}
+			}
+		}
+		return "", false
+	}
+	seen := make(map[string]struct{}, len(keys))
+	for _, k := range keys {
+		if _, dup := seen[k]; dup {
+			return k, true
+		}
+		seen[k] = struct{}{}
+	}
+	return "", false
 }
 
 // MustObject is NewObject for trusted (test/generator) input.
@@ -182,7 +211,67 @@ func (d DateTime) Compare(e DateTime) int {
 
 // ParseDateTime parses an ISO-8601-like dateTime of the forms
 // "2006-01-02T15:04", "2006-01-02T15:04:05" or "2006-01-02".
+//
+// The fixed-width shapes (four-digit year, two-digit fields) are read byte
+// by byte; anything else goes to parseDateTimeReference, which accepts the
+// same language and is the oracle the fast path is tested against.
 func ParseDateTime(s string) (DateTime, error) {
+	if len(s) == 10 || len(s) == 16 || len(s) == 19 {
+		if d, ok := parseDateTimeFixed(s); ok {
+			return d, nil
+		}
+	}
+	return parseDateTimeReference(s)
+}
+
+// parseDateTimeFixed parses YYYY-MM-DD, YYYY-MM-DDThh:mm and
+// YYYY-MM-DDThh:mm:ss. It reports false for any other shape or an
+// out-of-range field, leaving the verdict (and the error) to the reference.
+func parseDateTimeFixed(s string) (DateTime, bool) {
+	if s[4] != '-' || s[7] != '-' {
+		return DateTime{}, false
+	}
+	y1, ok1 := digits2(s[0], s[1])
+	y2, ok2 := digits2(s[2], s[3])
+	mo, ok3 := digits2(s[5], s[6])
+	dd, ok4 := digits2(s[8], s[9])
+	d := DateTime{Year: y1*100 + y2, Month: mo, Day: dd}
+	ok := ok1 && ok2 && ok3 && ok4
+	if len(s) > 10 {
+		if s[10] != 'T' || s[13] != ':' {
+			return DateTime{}, false
+		}
+		var okh, okm bool
+		d.Hour, okh = digits2(s[11], s[12])
+		d.Minute, okm = digits2(s[14], s[15])
+		ok = ok && okh && okm
+		if len(s) == 19 {
+			if s[16] != ':' {
+				return DateTime{}, false
+			}
+			var oks bool
+			d.Second, oks = digits2(s[17], s[18])
+			ok = ok && oks
+		}
+	}
+	if !ok || d.Month < 1 || d.Month > 12 || d.Day < 1 || d.Day > 31 ||
+		d.Hour > 23 || d.Minute > 59 || d.Second > 60 {
+		return DateTime{}, false
+	}
+	return d, true
+}
+
+// digits2 parses two ASCII decimal digits.
+func digits2(a, b byte) (int, bool) {
+	if a < '0' || a > '9' || b < '0' || b > '9' {
+		return 0, false
+	}
+	return int(a-'0')*10 + int(b-'0'), true
+}
+
+// parseDateTimeReference is the general ParseDateTime: split on 'T', ':'
+// and '-' with strict digit fields of any width.
+func parseDateTimeReference(s string) (DateTime, error) {
 	var d DateTime
 	bad := func() (DateTime, error) {
 		return DateTime{}, fmt.Errorf("item: invalid dateTime %q", s)

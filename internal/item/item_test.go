@@ -1,6 +1,7 @@
 package item
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -414,5 +415,97 @@ func TestSizeBytesMonotone(t *testing.T) {
 	}
 	if SizeBytesSeq(Sequence{small, big}) <= SizeBytes(big) {
 		t.Error("sequence size should include all members")
+	}
+}
+
+// TestNewObjectDuplicateKeyReportsFirstRepeat pins the duplicate-key error
+// on both sides of the pairwise/set threshold: the reported key is the
+// first one (in order) that repeats an earlier key.
+func TestNewObjectDuplicateKeyReportsFirstRepeat(t *testing.T) {
+	many := func(n int, extra ...string) []string {
+		keys := make([]string, 0, n+len(extra))
+		for i := 0; i < n; i++ {
+			keys = append(keys, fmt.Sprint("k", i))
+		}
+		return append(keys, extra...)
+	}
+	cases := []struct {
+		keys []string
+		dup  string // "" = no error
+	}{
+		{nil, ""},
+		{[]string{"a"}, ""},
+		{[]string{"a", "b"}, ""},
+		{[]string{"b", "a", "b", "a"}, "b"},
+		{[]string{"a", "b", "a", "b"}, "a"},
+		{[]string{"a", "b", "c", "c", "a"}, "c"},
+		{many(smallObjectKeys), ""},
+		{many(smallObjectKeys-1, "k0"), "k0"},
+		{many(smallObjectKeys, "k3"), "k3"},
+		{many(200), ""},
+		{many(200, "k150", "k7"), "k150"},
+	}
+	for _, c := range cases {
+		vals := make([]Item, len(c.keys))
+		for i := range vals {
+			vals[i] = Null{}
+		}
+		_, err := NewObject(c.keys, vals)
+		want := ""
+		if c.dup != "" {
+			want = fmt.Sprintf("item: duplicate object key %q", c.dup)
+		}
+		if got := fmt.Sprint(err); (err == nil) != (want == "") || (err != nil && got != want) {
+			t.Errorf("NewObject(%d keys ending %v) error = %v, want %q", len(c.keys), c.keys[max(0, len(c.keys)-2):], err, want)
+		}
+	}
+}
+
+// TestParseDateTimeMatchesReference is the differential for the fixed-width
+// fast path: over generated valid and invalid strings, ParseDateTime returns
+// exactly what parseDateTimeReference returns — the same value, the same
+// accept/reject verdict and the same error.
+func TestParseDateTimeMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	const alphabet = "0123456789-T:x "
+	var inputs []string
+	for y := 0; y < 2; y++ {
+		for _, shape := range []string{"%04d-%02d-%02d", "%04d-%02d-%02dT%02d:%02d", "%04d-%02d-%02dT%02d:%02d:%02d"} {
+			for i := 0; i < 3000; i++ {
+				// Field values straddle every range check, including
+				// month 0/13, day 0/32, hour 24, minute 60, second 60/61.
+				inputs = append(inputs, fmt.Sprintf(shape, r.Intn(10000), r.Intn(14), r.Intn(33), r.Intn(25), r.Intn(61), r.Intn(62)))
+			}
+		}
+	}
+	for i := 0; i < 20000; i++ {
+		// Mutations of valid strings: one byte replaced, inserted or dropped.
+		b := []byte(inputs[r.Intn(len(inputs))])
+		p := r.Intn(len(b))
+		switch r.Intn(3) {
+		case 0:
+			b[p] = alphabet[r.Intn(len(alphabet))]
+		case 1:
+			b = append(b[:p], append([]byte{alphabet[r.Intn(len(alphabet))]}, b[p:]...)...)
+		default:
+			b = append(b[:p], b[p+1:]...)
+		}
+		inputs = append(inputs, string(b))
+	}
+	inputs = append(inputs, "", "T", "-", "2003-12-25T", "2003-12-25T00", "02003-12-25", "2003-1-25", "2003-12-25T00:00:00:00",
+		"2003-12-25T23:59:60", "9999-12-31T23:59:59", "0000-01-01", "2003-12-25 00:00", "2003-12-25T00:0a", "+003-12-25")
+	accepted := 0
+	for _, s := range inputs {
+		got, gerr := ParseDateTime(s)
+		want, werr := parseDateTimeReference(s)
+		if got != want || fmt.Sprint(gerr) != fmt.Sprint(werr) {
+			t.Fatalf("ParseDateTime(%q) = %+v, %v; reference %+v, %v", s, got, gerr, want, werr)
+		}
+		if gerr == nil {
+			accepted++
+		}
+	}
+	if accepted < len(inputs)/10 || accepted > len(inputs)*9/10 {
+		t.Fatalf("generator accepted %d of %d inputs; want a mix of valid and invalid", accepted, len(inputs))
 	}
 }

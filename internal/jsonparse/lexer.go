@@ -4,7 +4,9 @@
 // projection path without materializing the rest of the document. The
 // projector is the mechanism behind the DATASCAN operator's second argument
 // (§4.2 of the paper): it is what lets the engine forward one small object
-// at a time instead of whole files.
+// at a time instead of whole files. The DATASCAN itself runs the projector
+// with a Transcoder at its leaves, which writes each projected value's
+// binary item encoding straight from the tokens without building items.
 //
 // The tokenizer reads through a fixed-size refillable chunk buffer, so a
 // document streamed from an io.Reader is never materialized: peak memory is

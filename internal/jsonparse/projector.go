@@ -237,11 +237,46 @@ func ScanValues(l *Lexer, path Path, limit int64, emit func(item.Item) error) (i
 // assign per-record stats to byte-range zones that line up exactly with
 // morsel ownership.
 func ScanRecords(l *Lexer, path Path, limit int64, emit func(lineStart int64, it item.Item) error) (int, error) {
+	lf := &itemLeaf{emit: emit}
+	return scanRecords(l, path, limit, lf, &lf.start)
+}
+
+// leaf is what the path walker does with what a path yields: parse it into
+// an item (itemLeaf) or write its binary encoding (Transcoder). The walker
+// itself — member scans, indexed skips, path steps — is shared.
+type leaf interface {
+	// value consumes the value whose first token is current; on return
+	// the current token is the value's last token.
+	value(l *Lexer) error
+	// key receives an object key yielded by a keys-or-members step (a
+	// view valid until the lexer advances).
+	key(l *Lexer, k []byte) error
+}
+
+// itemLeaf parses every yielded value into an item tree and hands it to emit
+// with the line start of the record it came from.
+type itemLeaf struct {
+	start int64
+	emit  func(lineStart int64, it item.Item) error
+}
+
+func (p *itemLeaf) value(l *Lexer) error {
+	it, err := parseValue(l)
+	if err != nil {
+		return err
+	}
+	return p.emit(p.start, it)
+}
+
+func (p *itemLeaf) key(l *Lexer, k []byte) error {
+	return p.emit(p.start, item.String(l.internBytes(k)))
+}
+
+// scanRecords is the record loop of ScanRecords and Transcoder.ScanEncoded:
+// it walks path over each top-level value whose line starts before limit.
+// start, when non-nil, receives each record's line start before the walk.
+func scanRecords(l *Lexer, path Path, limit int64, lf leaf, start *int64) (int, error) {
 	n := 0
-	// One closure for the whole scan (not one per record): start is rebound
-	// each iteration, keeping the hot path at zero allocations per record.
-	var start int64
-	wrapped := func(it item.Item) error { return emit(start, it) }
 	for {
 		done, err := l.AtEOF()
 		if err != nil {
@@ -250,9 +285,12 @@ func ScanRecords(l *Lexer, path Path, limit int64, emit func(lineStart int64, it
 		if done {
 			return n, nil
 		}
-		start = l.LineStart()
-		if limit >= 0 && start >= limit {
+		ls := l.LineStart()
+		if limit >= 0 && ls >= limit {
 			return n, nil
+		}
+		if start != nil {
+			*start = ls
 		}
 		if err := l.Next(); err != nil {
 			return n, err
@@ -260,7 +298,7 @@ func ScanRecords(l *Lexer, path Path, limit int64, emit func(lineStart int64, it
 		if l.Kind == TokEOF {
 			return n, nil
 		}
-		if err := projectValue(l, path, wrapped); err != nil {
+		if err := walk(l, path, lf); err != nil {
 			return n, err
 		}
 		n++
@@ -271,7 +309,8 @@ func projectLexer(l *Lexer, path Path, emit func(item.Item) error) error {
 	if err := l.Next(); err != nil {
 		return err
 	}
-	if err := projectValue(l, path, emit); err != nil {
+	lf := &itemLeaf{emit: func(_ int64, it item.Item) error { return emit(it) }}
+	if err := walk(l, path, lf); err != nil {
 		return err
 	}
 	if err := l.Next(); err != nil {
@@ -283,15 +322,12 @@ func projectLexer(l *Lexer, path Path, emit func(item.Item) error) error {
 	return nil
 }
 
-// projectValue processes the value whose first token is current, applying
-// path[0:] to it. On return the current token is the value's last token.
-func projectValue(l *Lexer, path Path, emit func(item.Item) error) error {
+// walk processes the value whose first token is current, applying path[0:]
+// to it and handing what the path yields to lf. On return the current token
+// is the value's last token.
+func walk(l *Lexer, path Path, lf leaf) error {
 	if len(path) == 0 {
-		it, err := parseValue(l)
-		if err != nil {
-			return err
-		}
-		return emit(it)
+		return lf.value(l)
 	}
 	step := path[0]
 	rest := path[1:]
@@ -299,18 +335,18 @@ func projectValue(l *Lexer, path Path, emit func(item.Item) error) error {
 	case TokLBrace:
 		switch step.Kind {
 		case StepKey:
-			return projectObjectKey(l, step.Key, rest, emit)
+			return walkObjectKey(l, step.Key, rest, lf)
 		case StepMembers:
-			return projectObjectKeys(l, rest, emit)
+			return walkObjectKeys(l, rest, lf)
 		default: // StepIndex on an object yields nothing.
 			return skipCurrent(l)
 		}
 	case TokLBracket:
 		switch step.Kind {
 		case StepMembers:
-			return projectArrayMembers(l, rest, emit)
+			return walkArrayMembers(l, rest, lf)
 		case StepIndex:
-			return projectArrayIndex(l, step.Index, rest, emit)
+			return walkArrayIndex(l, step.Index, rest, lf)
 		default: // StepKey on an array yields nothing.
 			return skipCurrent(l)
 		}
@@ -335,7 +371,7 @@ func bytesEqString(b []byte, s string) bool {
 	return true
 }
 
-func projectObjectKey(l *Lexer, key string, rest Path, emit func(item.Item) error) error {
+func walkObjectKey(l *Lexer, key string, rest Path, lf leaf) error {
 	// Current token is '{'. Member boundaries, keys and colons are consumed
 	// by the raw member scan, and non-matching values by SkipNextValue, so
 	// a member that is not projected never materializes a single token.
@@ -353,7 +389,7 @@ func projectObjectKey(l *Lexer, key string, rest Path, emit func(item.Item) erro
 			if err := l.Next(); err != nil {
 				return err
 			}
-			if err := projectValue(l, rest, emit); err != nil {
+			if err := walk(l, rest, lf); err != nil {
 				return err
 			}
 		} else if err := l.SkipNextValue(); err != nil {
@@ -362,7 +398,7 @@ func projectObjectKey(l *Lexer, key string, rest Path, emit func(item.Item) erro
 	}
 }
 
-func projectObjectKeys(l *Lexer, rest Path, emit func(item.Item) error) error {
+func walkObjectKeys(l *Lexer, rest Path, lf leaf) error {
 	// keys-or-members on an object: emit each key (a string item) after
 	// applying the remaining path to it. A string with remaining steps
 	// yields nothing, so only an empty rest emits.
@@ -377,7 +413,7 @@ func projectObjectKeys(l *Lexer, rest Path, emit func(item.Item) error) error {
 		}
 		first = false
 		if len(rest) == 0 {
-			if err := emit(item.String(l.internBytes(kb))); err != nil {
+			if err := lf.key(l, kb); err != nil {
 				return err
 			}
 		}
@@ -387,7 +423,7 @@ func projectObjectKeys(l *Lexer, rest Path, emit func(item.Item) error) error {
 	}
 }
 
-func projectArrayMembers(l *Lexer, rest Path, emit func(item.Item) error) error {
+func walkArrayMembers(l *Lexer, rest Path, lf leaf) error {
 	if err := l.Next(); err != nil {
 		return err
 	}
@@ -395,7 +431,7 @@ func projectArrayMembers(l *Lexer, rest Path, emit func(item.Item) error) error 
 		return nil
 	}
 	for {
-		if err := projectValue(l, rest, emit); err != nil {
+		if err := walk(l, rest, lf); err != nil {
 			return err
 		}
 		if err := l.Next(); err != nil {
@@ -414,7 +450,7 @@ func projectArrayMembers(l *Lexer, rest Path, emit func(item.Item) error) error 
 	}
 }
 
-func projectArrayIndex(l *Lexer, index int, rest Path, emit func(item.Item) error) error {
+func walkArrayIndex(l *Lexer, index int, rest Path, lf leaf) error {
 	if err := l.Next(); err != nil {
 		return err
 	}
@@ -424,7 +460,7 @@ func projectArrayIndex(l *Lexer, index int, rest Path, emit func(item.Item) erro
 	pos := 1
 	for {
 		if pos == index {
-			if err := projectValue(l, rest, emit); err != nil {
+			if err := walk(l, rest, lf); err != nil {
 				return err
 			}
 		} else if err := skipCurrent(l); err != nil {

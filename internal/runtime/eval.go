@@ -3,6 +3,7 @@ package runtime
 import (
 	"fmt"
 
+	"vxq/internal/frame"
 	"vxq/internal/item"
 )
 
@@ -61,6 +62,43 @@ func (e ColumnEval) Eval(_ *Ctx, tup Tuple) (item.Sequence, error) {
 		return nil, fmt.Errorf("runtime: column %d out of range [0,%d)", e.Col, tup.FieldCount())
 	}
 	return tup.Field(e.Col)
+}
+
+// FieldEval is value(<column>, "<key>") with a constant string key, the
+// navigation step every query applies to its scanned records. On a
+// frame.LazyTuple that still holds the column encoded it reads the field
+// with item.FieldEncoded and decodes only that value. Every other case (a
+// decoded or computed column, a column that is not exactly one object,
+// malformed bytes) runs the generic value function, whose result and errors
+// it therefore matches exactly. Build it with NewFieldEval.
+type FieldEval struct {
+	Col     int
+	Key     string
+	generic CallEval
+}
+
+// NewFieldEval returns the evaluator of value(column col, key).
+func NewFieldEval(col int, key string) FieldEval {
+	return FieldEval{Col: col, Key: key, generic: CallEval{Fn: FnValue, Args: []Evaluator{
+		ColumnEval{Col: col}, ConstEval{Seq: item.Single(item.String(key))},
+	}}}
+}
+
+// Eval implements Evaluator.
+func (e FieldEval) Eval(ctx *Ctx, tup Tuple) (item.Sequence, error) {
+	if lt, ok := tup.(*frame.LazyTuple); ok {
+		if raw, ok := lt.EncodedField(e.Col); ok {
+			if v, ok, err := item.FieldEncoded(raw, e.Key); err == nil && ok {
+				if v == nil {
+					return nil, nil
+				}
+				if it, _, err := item.Decode(v); err == nil {
+					return item.Sequence{it}, nil
+				}
+			}
+		}
+	}
+	return e.generic.Eval(ctx, tup)
 }
 
 // ConstEval yields a constant sequence.
