@@ -13,7 +13,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/hyracks ./internal/frame ./internal/cluster ./internal/jsonparse ./internal/index ./internal/item ./internal/runtime ./internal/spill
+	$(GO) test -race . ./internal/hyracks ./internal/frame ./internal/cluster ./internal/jsonparse ./internal/index ./internal/item ./internal/runtime ./internal/spill
 
 fmt:
 	gofmt -l .
@@ -70,7 +70,7 @@ bench-smoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
 
 # profile-smoke is the CI guard for the observability layer: the smoke test
-# profiles Q0-Q2 through both executors and validates the trace span schema,
+# profiles Q0-Q2 on both schedules and validates the trace span schema,
 # then the CLI leg generates a small collection and runs Q1 with
 # -profile -trace end to end, checking a trace file comes out.
 profile-smoke:
@@ -83,12 +83,13 @@ profile-smoke:
 		>/dev/null
 	test -s /tmp/vxq-profile-smoke/trace.json
 
-# fuzz-smoke runs the structural-kernel fuzzers briefly: the three-way skip
-# differential (structural-index skip, byte-class skip, token-level reference,
-# cross-checked against encoding/json), the record-boundary scanner against
-# its scalar reference over the chunk-size sweep, the speculative parallel
-# indexer against the sequential builder across worker/chunk/grain sweeps,
-# and the encoded scan's transcoder against encoding the parsed items.
+# fuzz-smoke runs the structural-kernel fuzzers briefly: the skip
+# differential (structural-index skip vs token-level reference, cross-checked
+# against encoding/json, plus the raw skip's chunk invariance against the
+# in-memory lexer), the record-boundary scanner against its scalar reference
+# over the chunk-size sweep, the speculative parallel indexer against the
+# sequential builder across worker/chunk/grain sweeps, and the encoded scan's
+# transcoder against encoding the parsed items.
 # Seeds under testdata/fuzz are always replayed.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzRawSkipDifferential -fuzztime=10s ./internal/jsonparse

@@ -185,16 +185,13 @@ func maxScanTask(res *hyracks.Result) float64 {
 	return max.Seconds()
 }
 
-// parseShapeReport holds the three skip-mode measurements of one shape —
-// the SWAR structural-index kernel, the byte-class scan and the token-level
-// reference — with the resulting speedups (reference seconds over the mode's
-// seconds).
+// parseShapeReport holds the two skip measurements of one shape — the SWAR
+// structural-index kernel and the token-level reference — with the resulting
+// speedup (reference seconds over index seconds).
 type parseShapeReport struct {
-	Index        bench.ParseBenchResult `json:"index"`
-	Bytes        bench.ParseBenchResult `json:"bytes"`
-	Reference    bench.ParseBenchResult `json:"reference"`
-	Speedup      float64                `json:"speedup"`       // reference / index
-	SpeedupBytes float64                `json:"speedup_bytes"` // reference / bytes
+	Index     bench.ParseBenchResult `json:"index"`
+	Reference bench.ParseBenchResult `json:"reference"`
+	Speedup   float64                `json:"speedup"` // reference / index
 }
 
 type parseReport struct {
@@ -229,7 +226,7 @@ func parseWorkerList(s string) ([]int, error) {
 	return workers, nil
 }
 
-// runParseBench measures the three skip modes on both acceptance shapes,
+// runParseBench measures both skip paths on both acceptance shapes,
 // plus the standalone phase-1 bitmap builder and the speculative parallel
 // builder's scaling rows, and writes the BENCH_parse.json artifact.
 func runParseBench(out string, minDur time.Duration, workers []int) error {
@@ -245,23 +242,17 @@ func runParseBench(out string, minDur time.Duration, workers []int) error {
 		if err != nil {
 			return err
 		}
-		byt, err := bench.MeasureParseBench(shape, "bytes", data, records, minDur)
-		if err != nil {
-			return err
-		}
 		ref, err := bench.MeasureParseBench(shape, "reference", data, records, minDur)
 		if err != nil {
 			return err
 		}
 		rep.Shapes[shape] = parseShapeReport{
-			Index:        idx,
-			Bytes:        byt,
-			Reference:    ref,
-			Speedup:      ref.Seconds / idx.Seconds,
-			SpeedupBytes: ref.Seconds / byt.Seconds,
+			Index:     idx,
+			Reference: ref,
+			Speedup:   ref.Seconds / idx.Seconds,
 		}
-		fmt.Printf("%s: index %.0f MB/s (%.4f allocs/record), bytes %.0f MB/s, reference %.0f MB/s, speedup %.2fx\n",
-			shape, idx.MBPerSec, idx.AllocsPerRecord, byt.MBPerSec, ref.MBPerSec, rep.Shapes[shape].Speedup)
+		fmt.Printf("%s: index %.0f MB/s (%.4f allocs/record), reference %.0f MB/s, speedup %.2fx\n",
+			shape, idx.MBPerSec, idx.AllocsPerRecord, ref.MBPerSec, rep.Shapes[shape].Speedup)
 	}
 	rep.BitmapBuilder = bench.MeasureBitmapBuilder(data, minDur)
 	fmt.Printf("bitmap builder: %.2f GB/s, %.4f allocs/chunk\n",

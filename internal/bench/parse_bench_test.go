@@ -9,9 +9,8 @@ import (
 )
 
 // The parse-kernel microbenchmarks: tokens flowing through the projector on
-// the project-1-of-N-fields and skip-whole-record shapes, across the three
-// skip implementations (structural index, byte-class scan, token-level
-// reference). Run with -benchmem: the bytes/s column is the headline, and
+// the project-1-of-N-fields and skip-whole-record shapes, through the
+// structural-index kernel and the token-level reference skip. Run with -benchmem: the bytes/s column is the headline, and
 // the per-record allocation count is reported as a custom metric.
 
 func benchParseShape(b *testing.B, shape, mode string) {
@@ -44,10 +43,6 @@ func benchParseShape(b *testing.B, shape, mode string) {
 // the structural-index kernel — the acceptance-criteria shape.
 func BenchmarkProjectOneField(b *testing.B) { benchParseShape(b, "project1", "index") }
 
-// BenchmarkProjectOneFieldBytes is the same shape through the byte-class
-// structural scan (the pre-SWAR kernel).
-func BenchmarkProjectOneFieldBytes(b *testing.B) { benchParseShape(b, "project1", "bytes") }
-
 // BenchmarkProjectOneFieldReference is the same shape through the
 // token-level reference skip (the pre-kernel behaviour).
 func BenchmarkProjectOneFieldReference(b *testing.B) { benchParseShape(b, "project1", "reference") }
@@ -56,9 +51,6 @@ func BenchmarkProjectOneFieldReference(b *testing.B) { benchParseShape(b, "proje
 // record is skipped whole — the pure skip throughput ceiling, through the
 // structural-index kernel.
 func BenchmarkSkipWholeRecord(b *testing.B) { benchParseShape(b, "skiprecord", "index") }
-
-// BenchmarkSkipWholeRecordBytes is the byte-class counterpart.
-func BenchmarkSkipWholeRecordBytes(b *testing.B) { benchParseShape(b, "skiprecord", "bytes") }
 
 // BenchmarkSkipWholeRecordReference is the token-level counterpart.
 func BenchmarkSkipWholeRecordReference(b *testing.B) { benchParseShape(b, "skiprecord", "reference") }
@@ -111,8 +103,7 @@ func BenchmarkLexerTokens(b *testing.B) {
 // in machine-independent form (ratios against in-process baselines, not
 // absolute MB/s, so CI noise and slow runners cannot flip it):
 //
-//   - skiprecord: the index kernel beats the token-level reference by >= 2x
-//     and the byte-class scan by >= 1.2x;
+//   - skiprecord: the index kernel beats the token-level reference by >= 2x;
 //   - project1: the index kernel beats the reference by >= 1.5x;
 //   - project1 allocations: <= 0.05 allocs/record (the interned-item scan);
 //   - all modes emit identical item counts;
@@ -135,11 +126,10 @@ func TestParseKernelBounds(t *testing.T) {
 	}
 	for _, shape := range []string{"project1", "skiprecord"} {
 		idx := run(shape, "index")
-		byt := run(shape, "bytes")
 		ref := run(shape, "reference")
-		if idx.Emitted != ref.Emitted || byt.Emitted != ref.Emitted {
-			t.Errorf("%s: emitted diverges: index %d, bytes %d, reference %d",
-				shape, idx.Emitted, byt.Emitted, ref.Emitted)
+		if idx.Emitted != ref.Emitted {
+			t.Errorf("%s: emitted diverges: index %d, reference %d",
+				shape, idx.Emitted, ref.Emitted)
 		}
 		if speedup := ref.Seconds / idx.Seconds; speedup < 1.5 {
 			t.Errorf("%s: index speedup over reference = %.2fx, want >= 1.5x (index %.4fs, reference %.4fs)",
@@ -148,10 +138,6 @@ func TestParseKernelBounds(t *testing.T) {
 		if shape == "skiprecord" {
 			if speedup := ref.Seconds / idx.Seconds; speedup < 2 {
 				t.Errorf("skiprecord: index speedup over reference = %.2fx, want >= 2x", speedup)
-			}
-			if speedup := byt.Seconds / idx.Seconds; speedup < 1.2 {
-				t.Errorf("skiprecord: index speedup over byte-class = %.2fx, want >= 1.2x (index %.4fs, bytes %.4fs)",
-					speedup, idx.Seconds, byt.Seconds)
 			}
 		}
 		if shape == "project1" && idx.AllocsPerRecord > 0.05 {

@@ -68,30 +68,26 @@ func ParseBenchPath(shape string) (jsonparse.Path, error) {
 	}
 }
 
-// ParseBenchMode resolves a benchmark mode name to the lexer's skip mode:
-// "index" is the SWAR structural-index kernel, "bytes" the byte-class scan,
-// "reference" the token-level oracle, and "kernel" the automatic production
-// choice (the structural index for in-memory buffers).
-func ParseBenchMode(mode string) (jsonparse.SkipMode, error) {
+// ParseBenchMode resolves a benchmark mode name to the lexer's reference-skip
+// switch: "index" is the SWAR structural-index kernel, "reference" the
+// token-level oracle.
+func ParseBenchMode(mode string) (reference bool, err error) {
 	switch mode {
-	case "kernel":
-		return jsonparse.SkipAuto, nil
 	case "index":
-		return jsonparse.SkipIndexed, nil
-	case "bytes":
-		return jsonparse.SkipRawBytes, nil
+		return false, nil
 	case "reference":
-		return jsonparse.SkipTokens, nil
+		return true, nil
 	default:
-		return 0, fmt.Errorf("unknown parse bench mode %q", mode)
+		return false, fmt.Errorf("unknown parse bench mode %q", mode)
 	}
 }
 
-// ScanParseBench runs one pass of the shape's projected scan over data in the
-// given skip mode, returning the number of emitted items.
-func ScanParseBench(data []byte, path jsonparse.Path, mode jsonparse.SkipMode) (int, error) {
+// ScanParseBench runs one pass of the shape's projected scan over data, with
+// the token-level reference skip when reference is set, returning the number
+// of emitted items.
+func ScanParseBench(data []byte, path jsonparse.Path, reference bool) (int, error) {
 	l := jsonparse.NewLexer(data)
-	l.SetSkipMode(mode)
+	l.SetReferenceSkip(reference)
 	emitted := 0
 	_, err := jsonparse.ScanValues(l, path, -1, func(item.Item) error {
 		emitted++
@@ -104,7 +100,7 @@ func ScanParseBench(data []byte, path jsonparse.Path, mode jsonparse.SkipMode) (
 // benchmark, serialized into BENCH_parse.json.
 type ParseBenchResult struct {
 	Shape           string  `json:"shape"`
-	Mode            string  `json:"mode"` // "index", "bytes", "reference" or "kernel" (auto)
+	Mode            string  `json:"mode"` // "index" or "reference"
 	Records         int64   `json:"records"`
 	Bytes           int64   `json:"bytes"`
 	Seconds         float64 `json:"seconds"`

@@ -122,7 +122,7 @@ func RunSpillBench(s Settings) ([]SpillBenchResult, error) {
 func spillBenchRun(name string, job *hyracks.Job, src runtime.Source, budget int64, dir string) (SpillBenchRun, [][]item.Sequence, error) {
 	acct := frame.NewAccountant(0)
 	env := &hyracks.Env{Source: src, Accountant: acct,
-		OpMemoryBudget: budget, SpillDir: dir, SpillPartitions: 8}
+		OpMemoryBudget: budget, SpillDir: dir}
 	start := time.Now()
 	res, err := hyracks.RunStaged(job, env)
 	elapsed := time.Since(start)

@@ -212,10 +212,7 @@ func TestExchangeForwardsWholeFrames(t *testing.T) {
 			{ID: 1, Kind: ExchangeMerge, ConsumerPartitions: 1},
 		},
 	}
-	for _, mode := range []struct {
-		name string
-		run  func(*Job, *Env) (*Result, error)
-	}{{"staged", RunStaged}, {"pipelined", RunPipelined}} {
+	for _, mode := range executors {
 		acct := frame.NewAccountant(0)
 		res, err := mode.run(job, &Env{Source: testSource(), Accountant: acct})
 		if err != nil {

@@ -23,9 +23,6 @@ type Env struct {
 	// Indexes provides zone-map lookups for DATASCAN file pruning (may be
 	// nil).
 	Indexes runtime.IndexLookup
-	// ChannelDepth is the per-channel frame buffer of the pipelined
-	// executor (default 4).
-	ChannelDepth int
 	// MorselSize is the byte-range granularity of morsel-driven scans
 	// (DefaultMorselSize when <= 0): raw-JSON files larger than this are
 	// split into independently schedulable byte ranges.
@@ -39,9 +36,6 @@ type Env struct {
 	// ColdIndexWorkers is the worker count of that pass (GOMAXPROCS when
 	// <= 0).
 	ColdIndexWorkers int
-	// Pool recycles tuple frames across operators and tasks; one is created
-	// on demand when nil.
-	Pool *frame.Pool
 	// EagerReference runs the job with TaskCtx.EagerDecode set: operators use
 	// their decoded-sequence reference implementations instead of the lazy
 	// encoded-domain paths. Differential tests compare both modes; benchmarks
@@ -62,8 +56,6 @@ type Env struct {
 	// All spill files are removed when the operator finishes — success,
 	// error, or cancellation.
 	SpillDir string
-	// SpillPartitions is the grace-hash fan-out per spill wave (default 8).
-	SpillPartitions int
 }
 
 func (e *Env) accountant() *frame.Accountant {
@@ -71,17 +63,6 @@ func (e *Env) accountant() *frame.Accountant {
 		e.Accountant = frame.NewAccountant(0)
 	}
 	return e.Accountant
-}
-
-func (e *Env) pool() *frame.Pool {
-	if e.Pool == nil {
-		fs := e.FrameSize
-		if fs <= 0 {
-			fs = frame.DefaultFrameSize
-		}
-		e.Pool = frame.NewPool(fs, e.accountant())
-	}
-	return e.Pool
 }
 
 func (e *Env) morselOpts() morselOptions {
@@ -120,8 +101,8 @@ func buildScanQueues(job *Job, env *Env, shared bool) (map[int]*morselQueue, que
 }
 
 // TaskTime records the measured wall-clock work of one fragment-partition
-// task. The staged executor produces clean single-threaded measurements that
-// the virtual-time scheduler consumes.
+// task. The sequential schedule (RunStaged) produces clean single-threaded
+// measurements that the virtual-time scheduler consumes.
 type TaskTime struct {
 	Fragment  int
 	Partition int
@@ -132,7 +113,8 @@ type TaskTime struct {
 	// deterministic per-partition split.
 	Morsels int
 	// Steals is how many of those morsels were taken off another partition's
-	// static share (always 0 under the staged executor's round-robin deal).
+	// static share (always 0 under the sequential schedule's round-robin
+	// deal).
 	Steals int
 }
 
@@ -152,7 +134,7 @@ type Result struct {
 }
 
 // SortRows orders the result canonically (for deterministic comparison
-// across executors and partition counts).
+// across schedules and partition counts).
 func (r *Result) SortRows() {
 	sortRows(r.Rows)
 }
@@ -172,7 +154,7 @@ func sortRows(rows [][]item.Sequence) {
 	})
 }
 
-// --- task plumbing shared by both executors --------------------------------
+// --- task plumbing shared by both schedules --------------------------------
 
 // frameDest receives the frames routed to one consumer partition.
 type frameDest interface {
@@ -340,15 +322,16 @@ func (w *exchangeWriter) profExtras(x *opExtras) {
 }
 
 // runSource drives a fragment's source, pushing its tuples through w
-// (already the head of the operator chain).
-func runSource(ctx *TaskCtx, f *Fragment, w Writer, in sourceInput) error {
+// (already the head of the operator chain); exchange-fed fragments receive
+// their partition's frames from tr.
+func runSource(ctx *TaskCtx, f *Fragment, w Writer, tr transport) error {
 	if err := w.Open(); err != nil {
 		// Operators downstream of the failure point may have opened and
 		// charged memory; Close releases it (builders are nil-safe).
 		_ = w.Close()
 		return err
 	}
-	if err := feedSource(ctx, f, w, in); err != nil {
+	if err := feedSource(ctx, f, w, tr); err != nil {
 		// Best-effort close after failure; report the original error.
 		_ = w.Close()
 		return err
@@ -356,35 +339,27 @@ func runSource(ctx *TaskCtx, f *Fragment, w Writer, in sourceInput) error {
 	return w.Close()
 }
 
-// sourceInput carries the upstream frames for exchange-fed fragments.
-type sourceInput struct {
-	// recv yields the frames for this partition of the given exchange and
-	// blocks until they are available (pipelined) or returns the buffered
-	// ones (staged). It returns frames via the callback to allow streaming.
-	recv func(exchID int, each func(*frame.Frame) error) error
-}
-
-func feedSource(ctx *TaskCtx, f *Fragment, w Writer, in sourceInput) error {
+func feedSource(ctx *TaskCtx, f *Fragment, w Writer, tr transport) error {
 	switch s := f.Source.(type) {
 	case ETSSource:
 		fr := ctx.newFrame()
 		fr.AppendTuple(nil)
 		return w.Push(fr)
 	case ScanSource:
-		return runScan(ctx, s, f.Partitions, w)
+		return runScan(ctx, s, w)
 	case ExchangeSource:
-		return in.recv(s.Exchange, w.Push)
+		return tr.recv(s.Exchange, ctx.Partition, w.Push)
 	case JoinSource:
 		j := newJoiner(ctx, s.Spec)
 		defer j.release()
-		if err := in.recv(s.Build, j.build); err != nil {
+		if err := tr.recv(s.Build, ctx.Partition, j.build); err != nil {
 			return err
 		}
 		if err := j.finishBuild(); err != nil {
 			return err
 		}
 		b := newFrameBuilder(ctx, w)
-		if err := in.recv(s.Probe, func(fr *frame.Frame) error {
+		if err := tr.recv(s.Probe, ctx.Partition, func(fr *frame.Frame) error {
 			return j.probe(fr, b)
 		}); err != nil {
 			b.discard()
@@ -414,29 +389,10 @@ func feedSource(ctx *TaskCtx, f *Fragment, w Writer, in sourceInput) error {
 // buffer (charged to the accountant) and each projected value is transcoded
 // from lexer tokens straight into its encoded field, so scan memory is
 // O(chunk + emitted item), independent of the file size, and no item tree
-// is built. When no executor-built queue is present (a fragment run outside
-// RunStaged/RunPipelined), an equivalent statically dealt queue is built on
-// the fly.
-func runScan(ctx *TaskCtx, s ScanSource, partitions int, w Writer) error {
-	if ctx.RT == nil || ctx.RT.Source == nil {
-		return fmt.Errorf("hyracks: scan without a data source")
-	}
+// is built. The queue is the one the executor built for the fragment
+// before any task started (buildScanQueues).
+func runScan(ctx *TaskCtx, s ScanSource, w Writer) error {
 	q := ctx.morsels
-	if q == nil {
-		var (
-			qs  queueStats
-			err error
-		)
-		q, qs, err = buildMorselQueue(ctx.RT.Source, s, ctx.RT.Indexes, partitions, morselOptions{}, false)
-		if err != nil {
-			return err
-		}
-		if st := ctx.RT.Stats; st != nil {
-			st.FilesSkipped += qs.filesSkipped
-			st.MorselsSkipped += qs.morselsSkipped
-			st.ColdIndexBuilds += qs.coldIndexBuilds
-		}
-	}
 	sc := &scanState{ctx: ctx, b: newFrameBuilder(ctx, w), field: make([][]byte, 1)}
 	for {
 		m, stolen, ok := q.take(ctx.Partition)

@@ -2,6 +2,7 @@ package hyracks
 
 import (
 	"fmt"
+	"io"
 	"strings"
 	"testing"
 
@@ -66,35 +67,44 @@ func call(fn string, args ...runtime.Evaluator) runtime.Evaluator {
 	return runtime.CallEval{Fn: runtime.MustFunction(fn), Args: args}
 }
 
-// runBoth executes the job with both executors and checks they agree; it
-// returns the (sorted) staged result.
+// executors is the one table of the two schedules that every executor
+// differential sweeps.
+var executors = []struct {
+	name string
+	run  func(*Job, *Env) (*Result, error)
+}{{"staged", RunStaged}, {"pipelined", RunPipelined}}
+
+// runBoth executes the job on every schedule in executors and checks they
+// agree; it returns the (sorted) result of the first, the staged one.
 func runBoth(t *testing.T, job *Job, env func() *Env) *Result {
 	t.Helper()
-	staged, err := RunStaged(job, env())
-	if err != nil {
-		t.Fatalf("RunStaged: %v", err)
-	}
-	piped, err := RunPipelined(job, env())
-	if err != nil {
-		t.Fatalf("RunPipelined: %v", err)
-	}
-	staged.SortRows()
-	piped.SortRows()
-	if len(staged.Rows) != len(piped.Rows) {
-		t.Fatalf("staged %d rows, pipelined %d rows", len(staged.Rows), len(piped.Rows))
-	}
-	for i := range staged.Rows {
-		if len(staged.Rows[i]) != len(piped.Rows[i]) {
-			t.Fatalf("row %d arity mismatch", i)
+	var want *Result
+	for _, mode := range executors {
+		res, err := mode.run(job, env())
+		if err != nil {
+			t.Fatalf("%s: %v", mode.name, err)
 		}
-		for j := range staged.Rows[i] {
-			if !item.EqualSeq(staged.Rows[i][j], piped.Rows[i][j]) {
-				t.Fatalf("row %d field %d: staged %s, pipelined %s", i, j,
-					item.JSONSeq(staged.Rows[i][j]), item.JSONSeq(piped.Rows[i][j]))
+		res.SortRows()
+		if want == nil {
+			want = res
+			continue
+		}
+		if len(want.Rows) != len(res.Rows) {
+			t.Fatalf("%s %d rows, %s %d rows", executors[0].name, len(want.Rows), mode.name, len(res.Rows))
+		}
+		for i := range want.Rows {
+			if len(want.Rows[i]) != len(res.Rows[i]) {
+				t.Fatalf("%s: row %d arity mismatch", mode.name, i)
+			}
+			for j := range want.Rows[i] {
+				if !item.EqualSeq(want.Rows[i][j], res.Rows[i][j]) {
+					t.Fatalf("row %d field %d: %s %s, %s %s", i, j,
+						executors[0].name, item.JSONSeq(want.Rows[i][j]), mode.name, item.JSONSeq(res.Rows[i][j]))
+				}
 			}
 		}
 	}
-	return staged
+	return want
 }
 
 func envFactory(src runtime.Source) func() *Env {
@@ -603,7 +613,12 @@ func TestADMScanAtEngineLevel(t *testing.T) {
 	raw := testSource()
 	admDocs := map[string][]byte{}
 	for _, name := range []string{"f1.json", "f2.json", "f3.json"} {
-		b, err := raw.ReadFile("/sensors/" + name)
+		rc, err := raw.Open("/sensors/" + name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := io.ReadAll(rc)
+		rc.Close()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -83,10 +83,10 @@ func (m morsel) wrap(err error) error {
 }
 
 // morselQueue is the per-scan-fragment work queue. In shared mode (the
-// pipelined executor) every task drains one atomic cursor, which is
+// concurrent schedule) every task drains one atomic cursor, which is
 // work-stealing in effect: a task that finishes its morsel takes the next
 // available one, so fast partitions absorb the tail of a skewed file set.
-// In static mode (the staged executor, which runs tasks sequentially to
+// In static mode (the sequential schedule, which runs tasks one at a time to
 // measure clean per-task times) morsels are dealt round-robin by index, so
 // each task's workload — and therefore its measured time — is deterministic.
 type morselQueue struct {

@@ -118,23 +118,17 @@ func TestMorselZonePruning(t *testing.T) {
 	envf := func() *Env {
 		return &Env{Source: src, Indexes: reg, MorselSize: 4 << 10}
 	}
-	for _, staged := range []bool{false, true} {
-		var res *Result
-		var err error
-		if staged {
-			res, err = RunStaged(job, envf())
-		} else {
-			res, err = RunPipelined(job, envf())
-		}
+	for _, mode := range executors {
+		res, err := mode.run(job, envf())
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.Stats.MorselsSkipped == 0 {
-			t.Errorf("staged=%v: Stats.MorselsSkipped = 0, queue build said %d", staged, qs.morselsSkipped)
+			t.Errorf("%s: Stats.MorselsSkipped = 0, queue build said %d", mode.name, qs.morselsSkipped)
 		}
 		if res.Stats.FilesRead != 1 {
-			t.Errorf("staged=%v: FilesRead = %d, want 1 (counting morsel must survive pruning)",
-				staged, res.Stats.FilesRead)
+			t.Errorf("%s: FilesRead = %d, want 1 (counting morsel must survive pruning)",
+				mode.name, res.Stats.FilesRead)
 		}
 		matches := map[int]bool{}
 		for _, row := range res.Rows {
@@ -148,7 +142,7 @@ func TestMorselZonePruning(t *testing.T) {
 		}
 		for v := 100; v <= 110; v++ {
 			if !matches[v] {
-				t.Errorf("staged=%v: matching record value=%d lost to pruning", staged, v)
+				t.Errorf("%s: matching record value=%d lost to pruning", mode.name, v)
 			}
 		}
 	}

@@ -301,19 +301,16 @@ func TestAccountantBalancesToZero(t *testing.T) {
 		"hash-join":    joinJob(2),
 	}
 	for name, job := range jobs {
-		for mode, run := range map[string]func(*Job, *Env) (*Result, error){
-			"staged":    RunStaged,
-			"pipelined": RunPipelined,
-		} {
+		for _, mode := range executors {
 			acct := frame.NewAccountant(0)
-			if _, err := run(job, &Env{Source: testSource(), Accountant: acct}); err != nil {
-				t.Fatalf("%s/%s: %v", name, mode, err)
+			if _, err := mode.run(job, &Env{Source: testSource(), Accountant: acct}); err != nil {
+				t.Fatalf("%s/%s: %v", name, mode.name, err)
 			}
 			if cur := acct.Current(); cur != 0 {
-				t.Errorf("%s/%s: accountant balance = %d after clean end, want 0", name, mode, cur)
+				t.Errorf("%s/%s: accountant balance = %d after clean end, want 0", name, mode.name, cur)
 			}
 			if acct.Peak() <= 0 {
-				t.Errorf("%s/%s: peak = %d, want > 0", name, mode, acct.Peak())
+				t.Errorf("%s/%s: peak = %d, want > 0", name, mode.name, acct.Peak())
 			}
 		}
 	}

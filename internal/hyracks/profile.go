@@ -13,7 +13,7 @@ import (
 )
 
 // This file implements the query profiler: EXPLAIN ANALYZE-style per-operator
-// metrics collected through both executors.
+// metrics collected on both schedules of the executor.
 //
 // Collection works by boundary wrapping. When Env.Profile is set, each task
 // builds its operator chain through buildTaskChain, which inserts a profWriter
@@ -27,10 +27,10 @@ import (
 //	self(source) = task elapsed - inclusive(first stage)
 //
 // so the per-task self times sum to the task's elapsed time exactly (modulo
-// clamping of sub-microsecond timer jitter to zero). Under the staged
-// executor, where tasks run one at a time, the self times over all spans
+// clamping of sub-microsecond timer jitter to zero). On the sequential
+// schedule, where tasks run one at a time, the self times over all spans
 // therefore sum to the measured job wall time minus only the executor's own
-// setup; under the pipelined executor a source's self time additionally
+// setup; on the concurrent schedule a source's self time additionally
 // includes the time the task spent blocked on its input channels, which is
 // exactly what a flame graph of a pipelined run should show.
 //
@@ -153,8 +153,8 @@ type Profile struct {
 	Spans []Span `json:"spans"`
 }
 
-// SelfSumNS reports the total exclusive time over all spans. Under the
-// staged executor it accounts for the job wall time minus executor setup
+// SelfSumNS reports the total exclusive time over all spans. On the
+// sequential schedule it accounts for the job wall time minus executor setup
 // (the acceptance bound: within 10% of WallNS on non-trivial jobs).
 func (p *Profile) SelfSumNS() int64 {
 	var n int64
@@ -368,7 +368,7 @@ func buildTaskChain(ctx *TaskCtx, f *Fragment, terminal Writer) Writer {
 }
 
 // jobProf gathers the per-task accumulators. Tasks only append their own
-// finished taskProf (under the mutex in the pipelined executor); nothing is
+// finished taskProf (under the mutex, as concurrent tasks finish); nothing is
 // shared while a task runs.
 type jobProf struct {
 	epoch time.Time

@@ -10,16 +10,13 @@ import (
 )
 
 func TestProfileNilWhenOff(t *testing.T) {
-	for mode, run := range map[string]func(*Job, *Env) (*Result, error){
-		"staged":    RunStaged,
-		"pipelined": RunPipelined,
-	} {
-		res, err := run(twoStepGroupByJob(2, 2), &Env{Source: testSource()})
+	for _, mode := range executors {
+		res, err := mode.run(twoStepGroupByJob(2, 2), &Env{Source: testSource()})
 		if err != nil {
-			t.Fatalf("%s: %v", mode, err)
+			t.Fatalf("%s: %v", mode.name, err)
 		}
 		if res.Profile != nil {
-			t.Errorf("%s: Profile != nil without Env.Profile", mode)
+			t.Errorf("%s: Profile != nil without Env.Profile", mode.name)
 		}
 	}
 }
@@ -45,60 +42,57 @@ func findNode(n *ProfileNode, sub string) *ProfileNode {
 // <- DATASCAN, and the profile tree must render exactly that chain with the
 // right kinds and partition counts.
 func TestProfileTreeMirrorsPlan(t *testing.T) {
-	for mode, run := range map[string]func(*Job, *Env) (*Result, error){
-		"staged":    RunStaged,
-		"pipelined": RunPipelined,
-	} {
-		res, err := run(twoStepGroupByJob(3, 2), &Env{Source: testSource(), Profile: true})
+	for _, mode := range executors {
+		res, err := mode.run(twoStepGroupByJob(3, 2), &Env{Source: testSource(), Profile: true})
 		if err != nil {
-			t.Fatalf("%s: %v", mode, err)
+			t.Fatalf("%s: %v", mode.name, err)
 		}
 		p := res.Profile
 		if p == nil {
-			t.Fatalf("%s: no profile", mode)
+			t.Fatalf("%s: no profile", mode.name)
 		}
 		root := p.Root
 		if root == nil || root.Name != "RESULT" || root.Kind != "sink" {
-			t.Fatalf("%s: root = %+v, want RESULT sink", mode, root)
+			t.Fatalf("%s: root = %+v, want RESULT sink", mode.name, root)
 		}
 		if root.Partitions != 2 {
-			t.Errorf("%s: root partitions = %d, want 2", mode, root.Partitions)
+			t.Errorf("%s: root partitions = %d, want 2", mode.name, root.Partitions)
 		}
 		// Chain below the collector: global group-by, then the receive source.
 		global := findNode(root, "GROUP-BY")
 		if global == nil || global.Kind != "group-by" || global.Fragment != 1 {
-			t.Fatalf("%s: global group-by node = %+v", mode, global)
+			t.Fatalf("%s: global group-by node = %+v", mode.name, global)
 		}
 		recv := findNode(global, "RECEIVE")
 		if recv == nil || recv.Kind != "receive" {
-			t.Fatalf("%s: receive node missing under global group-by", mode)
+			t.Fatalf("%s: receive node missing under global group-by", mode.name)
 		}
 		// The producing fragment hangs under the receive: its top is the
 		// exchange sink, its leaf the scan.
 		exch := findNode(recv, "EXCHANGE exch#0")
 		if exch == nil || exch.Kind != "exchange" {
-			t.Fatalf("%s: producer exchange node missing under receive", mode)
+			t.Fatalf("%s: producer exchange node missing under receive", mode.name)
 		}
 		if exch.Fragment != 0 || exch.Partitions != 3 {
 			t.Errorf("%s: exchange node fragment/partitions = %d/%d, want 0/3",
-				mode, exch.Fragment, exch.Partitions)
+				mode.name, exch.Fragment, exch.Partitions)
 		}
 		scan := findNode(exch, "DATASCAN")
 		if scan == nil || scan.Kind != "scan" {
-			t.Fatalf("%s: scan leaf missing", mode)
+			t.Fatalf("%s: scan leaf missing", mode.name)
 		}
 		if scan.Metrics.Morsels == 0 {
-			t.Errorf("%s: scan morsels = 0", mode)
+			t.Errorf("%s: scan morsels = 0", mode.name)
 		}
 		// Span inventory: (2 ops-stages + source + sink would be 3 stages per
 		// fragment here: source, one group-by, sink) x partitions.
 		wantSpans := 3*3 + 3*2
 		if len(p.Spans) != wantSpans {
-			t.Errorf("%s: %d spans, want %d", mode, len(p.Spans), wantSpans)
+			t.Errorf("%s: %d spans, want %d", mode.name, len(p.Spans), wantSpans)
 		}
 		for _, sp := range p.Spans {
 			if sp.SelfNS < 0 {
-				t.Errorf("%s: span %s has negative self time", mode, sp.Name)
+				t.Errorf("%s: span %s has negative self time", mode.name, sp.Name)
 			}
 		}
 	}

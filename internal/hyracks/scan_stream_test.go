@@ -57,19 +57,16 @@ func TestScanErrorNamesFileAndOffset(t *testing.T) {
 	src := &runtime.MemSource{Collections: map[string]map[string][]byte{
 		"/sensors": {"truncated.json": []byte(`{"root": [ {"date": "2013-`)},
 	}}
-	for name, run := range map[string]func(*Job, *Env) (*Result, error){
-		"staged":    RunStaged,
-		"pipelined": RunPipelined,
-	} {
-		_, err := run(scanJob(1, measurementsPath()), &Env{Source: src})
+	for _, mode := range executors {
+		_, err := mode.run(scanJob(1, measurementsPath()), &Env{Source: src})
 		if err == nil {
-			t.Fatalf("%s: scan of a truncated file must fail", name)
+			t.Fatalf("%s: scan of a truncated file must fail", mode.name)
 		}
 		if !strings.Contains(err.Error(), "truncated.json") {
-			t.Errorf("%s: error %q does not name the file", name, err)
+			t.Errorf("%s: error %q does not name the file", mode.name, err)
 		}
 		if !strings.Contains(err.Error(), "offset") {
-			t.Errorf("%s: error %q does not carry a position", name, err)
+			t.Errorf("%s: error %q does not carry a position", mode.name, err)
 		}
 	}
 }

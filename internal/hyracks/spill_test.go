@@ -185,14 +185,11 @@ func runSpillDiffOpt(t *testing.T, name string, job *Job, src *runtime.MemSource
 		t.Fatalf("%s: input %d bytes is under 4x the %d budget — test data too small",
 			name, plain.Stats.BytesRead, spillBudget)
 	}
-	for _, mode := range []struct {
-		name string
-		run  func(*Job, *Env) (*Result, error)
-	}{{"staged", RunStaged}, {"pipelined", RunPipelined}} {
+	for _, mode := range executors {
 		dir := t.TempDir()
 		acct := frame.NewAccountant(0)
 		env := &Env{Source: src, Accountant: acct,
-			OpMemoryBudget: spillBudget, SpillDir: dir, SpillPartitions: 4}
+			OpMemoryBudget: spillBudget, SpillDir: dir}
 		res, err := mode.run(job, env)
 		if err != nil {
 			t.Fatalf("%s/%s: %v", name, mode.name, err)
@@ -264,7 +261,7 @@ func TestSpillSortStability(t *testing.T) {
 	}
 	dir := t.TempDir()
 	spilled, err := RunStaged(job(), &Env{Source: src,
-		OpMemoryBudget: spillBudget, SpillDir: dir, SpillPartitions: 4})
+		OpMemoryBudget: spillBudget, SpillDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +280,7 @@ func TestSpillEagerModeNeverSpills(t *testing.T) {
 	src := bigSource(100)
 	res, err := RunStaged(scanJob(1, measurementsPath(), bigGroupBy()),
 		&Env{Source: src, EagerReference: true,
-			OpMemoryBudget: spillBudget, SpillDir: t.TempDir(), SpillPartitions: 4})
+			OpMemoryBudget: spillBudget, SpillDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,14 +319,11 @@ func TestSpillHygieneAndBalanceOnError(t *testing.T) {
 		"group-by-scan-error": {scanJob(2, measurementsPath(), bigGroupBy()), corrupt},
 	}
 	for name, c := range cases {
-		for _, mode := range []struct {
-			name string
-			run  func(*Job, *Env) (*Result, error)
-		}{{"staged", RunStaged}, {"pipelined", RunPipelined}} {
+		for _, mode := range executors {
 			dir := t.TempDir()
 			acct := frame.NewAccountant(0)
 			env := &Env{Source: c.src, Accountant: acct,
-				OpMemoryBudget: spillBudget, SpillDir: dir, SpillPartitions: 4}
+				OpMemoryBudget: spillBudget, SpillDir: dir}
 			if _, err := mode.run(c.job, env); err == nil {
 				t.Fatalf("%s/%s: expected error", name, mode.name)
 			}
@@ -369,7 +363,7 @@ func TestSpillAccountantBalancesWithProfile(t *testing.T) {
 	for name, job := range jobs {
 		acct := frame.NewAccountant(0)
 		res, err := RunStaged(job, &Env{Source: src, Accountant: acct, Profile: true,
-			OpMemoryBudget: spillBudget, SpillDir: t.TempDir(), SpillPartitions: 4})
+			OpMemoryBudget: spillBudget, SpillDir: t.TempDir()})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

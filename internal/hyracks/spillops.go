@@ -13,9 +13,8 @@ import (
 // merge sort) live in ops.go and join.go.
 
 const (
-	// defaultSpillFanout is the partition fan-out of one grace-hash spill
-	// wave when Env.SpillPartitions is unset.
-	defaultSpillFanout = 8
+	// spillFanout is the partition fan-out of one grace-hash spill wave.
+	spillFanout = 8
 	// maxSpillDepth bounds grace-hash recursion. A partition still over
 	// budget at this depth (pathological key skew or a hash that no rotation
 	// can split) is finished in memory — correctness never depends on the
@@ -33,19 +32,12 @@ const (
 	spillTagPartial byte = 1
 )
 
-func (c *TaskCtx) spillFanout() int {
-	if c.SpillFanout > 0 {
-		return c.SpillFanout
-	}
-	return defaultSpillFanout
-}
-
 // spillBlockSize sizes one spill stream's buffer so that a full fan-out of
 // writers stays well inside the operator budget.
 func (c *TaskCtx) spillBlockSize() int {
 	bs := spill.DefaultBlockSize
 	if c.SpillBudget > 0 {
-		if per := int(c.SpillBudget) / (2 * c.spillFanout()); per < bs {
+		if per := int(c.SpillBudget) / (2 * spillFanout); per < bs {
 			bs = per
 		}
 	}
@@ -102,7 +94,7 @@ type spillParts struct {
 
 func newSpillParts(ctx *TaskCtx, depth int) *spillParts {
 	return &spillParts{ctx: ctx, depth: depth, bsize: ctx.spillBlockSize(),
-		ws: make([]*spill.Writer, ctx.spillFanout())}
+		ws: make([]*spill.Writer, spillFanout)}
 }
 
 // write routes one record by its key hash and reports the bytes appended.

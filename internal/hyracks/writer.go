@@ -5,13 +5,14 @@
 // ("fragments") connected by exchange connectors; each fragment runs in a
 // number of partitions.
 //
-// Two executors are provided. The pipelined executor runs every
-// fragment-partition as a goroutine connected by channels, like Hyracks'
-// pipelined connectors. The staged executor runs partitions sequentially
-// with materialized exchanges and records per-partition wall-clock work;
-// the cluster experiments feed those measurements into the virtual-time
-// scheduler (internal/simsched) to model multi-core/multi-node schedules on
-// machines that do not physically have them.
+// One executor runs a job on one of two schedules (run.go). The concurrent
+// schedule (RunPipelined) runs every fragment-partition as a goroutine
+// connected by channels, like Hyracks' pipelined connectors. The sequential
+// schedule (RunStaged) runs the tasks one at a time with materialized
+// exchanges and records per-partition wall-clock work; the cluster
+// experiments feed those measurements into the virtual-time scheduler
+// (internal/simsched) to model multi-core/multi-node schedules on machines
+// that do not physically have them.
 package hyracks
 
 import (
@@ -45,16 +46,15 @@ type TaskCtx struct {
 	// Pool recycles output frames across operators and tasks (may be nil,
 	// in which case frames are plainly allocated and never returned).
 	Pool *frame.Pool
-	// SpillDir, SpillBudget and SpillFanout configure the out-of-core layer
-	// (copied from Env.SpillDir / Env.OpMemoryBudget / Env.SpillPartitions).
+	// SpillDir and SpillBudget configure the out-of-core layer (copied from
+	// Env.SpillDir / Env.OpMemoryBudget).
 	// With SpillBudget 0 the blocking operators never spill. Eager reference
 	// mode never spills either — it stays the pure in-memory baseline the
 	// differential tests compare against.
 	SpillDir    string
 	SpillBudget int64
-	SpillFanout int
 	// morsels is the scan work queue shared by the fragment's tasks (nil for
-	// non-scan fragments and for fragments run outside an executor).
+	// non-scan fragments).
 	morsels *morselQueue
 	// MorselsScanned counts the morsels this task processed.
 	MorselsScanned int

@@ -135,10 +135,10 @@ type Lexer struct {
 	// from the per-record path (see internStringItem).
 	strItems map[string]item.Item
 
-	// skipMode selects how discarded subtrees are consumed: the structural
-	// index kernel, the byte-class scan, the token-level reference, or (the
-	// default) an automatic choice by chunk size. See SkipMode.
-	skipMode SkipMode
+	// refSkip consumes discarded subtrees through the tokenizer (the
+	// token-level reference) instead of the structural-index kernel. See
+	// SetReferenceSkip.
+	refSkip bool
 
 	// Current token state, valid after Next.
 	Kind TokenKind
@@ -202,60 +202,12 @@ func (l *Lexer) ResetStream(r io.Reader, base int64) {
 	l.Kind, l.str, l.numRaw = TokEOF, nil, nil
 }
 
-// SkipMode selects the implementation used to consume subtrees a projection
-// discards. The three concrete modes exist for differential testing and
-// before/after benchmarks; production code leaves the default.
-type SkipMode uint8
-
-const (
-	// SkipAuto (the default) picks SkipIndexed when the chunk buffer is
-	// large enough for the block kernel to pay off (in-memory inputs and
-	// streams with chunks >= indexedSkipMinChunk) and SkipRawBytes for
-	// small-chunk streams, preserving their bounded-peak-memory behavior.
-	SkipAuto SkipMode = iota
-	// SkipIndexed navigates the SWAR structural index (structidx.go),
-	// consuming 64-byte blocks per step.
-	SkipIndexed
-	// SkipRawBytes runs the byte-class structural scan, one byte per step.
-	SkipRawBytes
-	// SkipTokens drives the tokenizer through every token of the skipped
-	// value: the slow differential oracle.
-	SkipTokens
-)
-
-// indexedSkipMinChunk is the smallest streaming chunk size for which
-// SkipAuto selects the structural-index kernel: below it, windows rarely
-// hold a full 64-byte block plus lookahead and the byte-class scan wins.
-const indexedSkipMinChunk = 4096
-
-// SetSkipMode selects the skip implementation (see SkipMode).
-func (l *Lexer) SetSkipMode(m SkipMode) { l.skipMode = m }
-
 // SetReferenceSkip switches the lexer's skip path to the token-level
-// reference implementation (true) or back to the default automatic choice
-// (false). It exists for differential tests and before/after benchmarks and
-// predates SetSkipMode, which the three-way differential suite uses.
-func (l *Lexer) SetReferenceSkip(on bool) {
-	if on {
-		l.skipMode = SkipTokens
-	} else {
-		l.skipMode = SkipAuto
-	}
-}
-
-// indexedSkip reports whether raw skips should navigate the structural
-// index: explicitly selected, or automatic with a window large enough for
-// whole blocks.
-func (l *Lexer) indexedSkip() bool {
-	switch l.skipMode {
-	case SkipIndexed:
-		return true
-	case SkipAuto:
-		return l.r == nil || len(l.buf) >= indexedSkipMinChunk
-	default:
-		return false
-	}
-}
+// reference implementation (true) or back to the structural-index kernel
+// (false). The reference drives the tokenizer through every token of a
+// skipped value: it is the differential oracle and the before/after
+// benchmark baseline; production code leaves it off.
+func (l *Lexer) SetReferenceSkip(on bool) { l.refSkip = on }
 
 // StrBytes returns the decoded string value of the current TokString token
 // as a byte-slice view. The view is only valid until the lexer next
@@ -798,10 +750,10 @@ func (l *Lexer) scanString() ([]byte, error) {
 // straight to the structural skip. On return the lexer's token state is the
 // value's closing token where that is cheap to report (containers, strings)
 // and unspecified otherwise; callers always advance with Next before reading
-// tokens again. In SkipTokens mode it runs the tokenizer over the whole
-// value, making it the same three-way differential surface as SkipValueRaw.
+// tokens again. In reference mode it runs the tokenizer over the whole
+// value, making it the same differential surface as SkipValueRaw.
 func (l *Lexer) SkipNextValue() error {
-	if l.skipMode == SkipTokens {
+	if l.refSkip {
 		if err := l.Next(); err != nil {
 			return err
 		}
@@ -828,7 +780,7 @@ func (l *Lexer) SkipNextValue() error {
 				}
 			}
 		}
-		if err := l.skipStringRaw(l.indexedSkip()); err != nil {
+		if err := l.skipStringRaw(); err != nil {
 			return err
 		}
 		l.Kind, l.str = TokString, nil
@@ -891,12 +843,10 @@ func (l *Lexer) SkipNextValue() error {
 
 // skipStringRaw consumes a string body (cursor just past the opening quote)
 // without decoding it: escapes are stepped over, not validated or expanded,
-// and nothing is copied to scratch. indexed selects the word-at-a-time event
-// jump (four words probed per iteration, so long string bodies cost one
-// masked compare per eight bytes with the branches amortized); without it
-// the loop is the byte-class scan's string arm, kept as the small-chunk
-// fallback and the differential counterpart.
-func (l *Lexer) skipStringRaw(indexed bool) error {
+// and nothing is copied to scratch. The word-at-a-time event jump probes four
+// words per iteration, so long string bodies cost one masked compare per
+// eight bytes with the branches amortized.
+func (l *Lexer) skipStringRaw() error {
 	esc := false // a backslash was the last byte before a window edge
 	for {
 		buf, p := l.buf[:l.end], l.pos
@@ -905,11 +855,8 @@ func (l *Lexer) skipStringRaw(indexed bool) error {
 			p++
 		}
 		for p < len(buf) {
-			if indexed {
-				p = stringSeek(buf, p)
-				if p >= len(buf) {
-					break
-				}
+			if p = stringSeek(buf, p); p >= len(buf) {
+				break
 			}
 			switch c := buf[p]; {
 			case c == '"':
@@ -951,7 +898,7 @@ func (l *Lexer) skipStringRaw(indexed bool) error {
 // edge, and every malformed shape fall back to the tokenizer, which owns the
 // error reporting. The view is valid until the lexer next advances.
 func (l *Lexer) objectMember(first bool) (key []byte, closed bool, err error) {
-	if l.skipMode == SkipTokens {
+	if l.refSkip {
 		return l.objectMemberTokens(first)
 	}
 	if err := l.skipSpace(); err != nil {
@@ -1104,31 +1051,6 @@ func (l *Lexer) objectMemberTokens(first bool) (key []byte, closed bool, err err
 // strings, and truncated input still error; bad escapes, malformed numbers,
 // and misplaced colons/commas pass silently (see DESIGN.md, "On-demand scan
 // kernel").
-// Byte classes of the raw structural scan. Every byte that can change the
-// scanner's state is nonzero in rawClass; everything else takes the
-// single-lookup fast path. Control bytes are classed too: inside a string
-// they are an error (matching the tokenizer), outside they are whitespace or
-// junk the token-level reference would also never reject inside a skip.
-const (
-	clsPlain = iota
-	clsQuote
-	clsBackslash
-	clsOpen
-	clsClose
-	clsCtl
-)
-
-var rawClass = func() (t [256]byte) {
-	for c := 0; c < 0x20; c++ {
-		t[c] = clsCtl
-	}
-	t['"'] = clsQuote
-	t['\\'] = clsBackslash
-	t['{'], t['['] = clsOpen, clsOpen
-	t['}'], t[']'] = clsClose, clsClose
-	return
-}()
-
 func (l *Lexer) SkipValueRaw() error {
 	switch l.Kind {
 	case TokNull, TokTrue, TokFalse, TokNumber, TokString:
@@ -1141,19 +1063,10 @@ func (l *Lexer) SkipValueRaw() error {
 }
 
 // skipContainer consumes the rest of an already-opened container (the cursor
-// sits just past the open bracket, depth brackets deep), dispatching between
-// the structural-index kernel and the byte-class scan.
-func (l *Lexer) skipContainer(open TokenKind, depth int) error {
-	if l.indexedSkip() {
-		return l.skipContainerIndexed(open, depth)
-	}
-	return l.skipContainerBytes(open, depth, false, false)
-}
-
-// skipContainerIndexed is the phase-2 navigator of the structural index: a
-// two-arm word-jump machine that consults the per-word event bitmaps from
-// structidx.go and only ever touches bytes that can change the scanner's
-// state. The split into arms is what makes the probes cheap: outside a
+// sits just past the open bracket, depth brackets deep). It is the phase-2
+// navigator of the structural index: a two-arm word-jump machine that
+// consults the per-word event bitmaps from structidx.go and only ever
+// touches bytes that can change the scanner's state. The split into arms is what makes the probes cheap: outside a
 // string only quotes and brackets matter (structEventMask, three byte
 // classes — commas, colons and whitespace are never loaded), inside a string
 // only quotes, backslashes and control bytes do (stringEventMask). Each arm
@@ -1161,7 +1074,7 @@ func (l *Lexer) skipContainer(open TokenKind, depth int) error {
 // number digits, string text or separators costs one load and one masked
 // compare. Escapes are consumed positionally (backslash plus one byte), so
 // no escape flag survives inside a window — only across a refill edge.
-func (l *Lexer) skipContainerIndexed(open TokenKind, depth int) error {
+func (l *Lexer) skipContainer(open TokenKind, depth int) error {
 	inStr := false
 	esc := false // a backslash was the last byte before a window edge
 	for {
@@ -1205,79 +1118,6 @@ func (l *Lexer) skipContainerIndexed(open TokenKind, depth int) error {
 			case '{', '[':
 				depth++
 			case '}', ']':
-				depth--
-				if depth == 0 {
-					l.pos = p + 1
-					if c == '}' {
-						l.Kind = TokRBrace
-					} else {
-						l.Kind = TokRBracket
-					}
-					return nil
-				}
-			}
-			p++
-		}
-		l.pos = p
-		got, err := l.refill()
-		if err != nil {
-			return err
-		}
-		if !got {
-			if inStr {
-				return l.errf("unterminated string")
-			}
-			if open == TokLBrace {
-				return fmt.Errorf("json: unexpected end of input in object")
-			}
-			return fmt.Errorf("json: unexpected end of input in array")
-		}
-	}
-}
-
-// skipContainerBytes is the byte-class structural scan: the small-chunk
-// fallback of skipContainer and the tail finisher of the indexed kernel,
-// seeded with the depth and in-string/escape state carried to this point.
-func (l *Lexer) skipContainerBytes(open TokenKind, depth int, inStr, esc bool) error {
-	for {
-		// Scan the current window with local copies of the hot fields; the
-		// compiler keeps them in registers. esc survives the window edge, so
-		// a backslash as the last byte before a refill straddles correctly.
-		buf, p, end := l.buf, l.pos, l.end
-		for p < end {
-			c := buf[p]
-			if esc {
-				esc = false
-				p++
-				continue
-			}
-			k := rawClass[c]
-			if k == clsPlain {
-				p++
-				continue
-			}
-			if inStr {
-				switch k {
-				case clsQuote:
-					inStr = false
-				case clsBackslash:
-					esc = true
-				case clsCtl:
-					l.pos = p
-					return l.errf("control character in string")
-				}
-				p++
-				continue
-			}
-			switch k {
-			case clsQuote:
-				inStr = true
-			case clsOpen:
-				depth++
-			case clsClose:
-				// One shared depth counter for both bracket kinds, matching
-				// the token-level reference (which also accepts mismatched
-				// closers inside skipped regions).
 				depth--
 				if depth == 0 {
 					l.pos = p + 1

@@ -167,11 +167,11 @@ func (l *Lexer) internStringItem() item.Item {
 // skipCurrent consumes the value whose first token is the current token
 // without materializing anything; on return the current token is the
 // value's last token. It normally runs the structural raw scan
-// (Lexer.SkipValueRaw); a lexer put in token-reference mode (SkipTokens)
+// (Lexer.SkipValueRaw); a lexer put in reference mode (SetReferenceSkip)
 // uses the token-level skipValue instead, which differential tests and the
 // before/after benchmarks compare against.
 func skipCurrent(l *Lexer) error {
-	if l.skipMode == SkipTokens {
+	if l.refSkip {
 		return skipValue(l)
 	}
 	return l.SkipValueRaw()

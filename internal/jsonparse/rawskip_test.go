@@ -20,21 +20,18 @@ import (
 // all). Chunk 0 selects the in-memory slice lexer instead of a stream lexer.
 var skipChunkSizes = []int{0, 7, 63, 64, 65, 4096}
 
-// skipModes are the three concrete skip implementations the differential
-// compares: the token-level oracle, the byte-class structural scan, and the
-// SWAR structural-index kernel.
-var skipModes = []SkipMode{SkipTokens, SkipRawBytes, SkipIndexed}
-
-// runSkipMode tokenizes the first token of data and skips the first value in
-// the requested mode, returning the absolute end offset of the skipped value.
-func runSkipMode(data []byte, chunk int, mode SkipMode) (int, error) {
+// runSkip tokenizes the first token of data and skips the first value —
+// through the token-level reference when reference is set, the structural
+// raw scan otherwise — returning the absolute end offset of the skipped
+// value.
+func runSkip(data []byte, chunk int, reference bool) (int, error) {
 	var l *Lexer
 	if chunk == 0 {
 		l = NewLexer(data)
 	} else {
 		l = NewStreamLexer(bytes.NewReader(data), chunk)
 	}
-	l.SetSkipMode(mode)
+	l.SetReferenceSkip(reference)
 	if err := l.Next(); err != nil {
 		return l.Offset(), err
 	}
@@ -42,7 +39,7 @@ func runSkipMode(data []byte, chunk int, mode SkipMode) (int, error) {
 		return l.Offset(), fmt.Errorf("empty input")
 	}
 	var err error
-	if mode == SkipTokens {
+	if reference {
 		err = skipValue(l)
 	} else {
 		err = l.SkipValueRaw()
@@ -72,26 +69,26 @@ func jsonOracleExtent(data []byte) (end int, ok bool) {
 }
 
 // checkSkipAgreement asserts the differential contract on one input:
-//   - the two raw scans (byte-class and structural-index) are exactly
-//     equivalent: same ok-ness, same extent, same error text — on every
-//     input, valid or not;
+//   - the raw scan is chunk-invariant: streamed through a refill window of
+//     this size it has the same ok-ness, extent and error text as over the
+//     whole input in memory — on every input, valid or not;
 //   - token-skip ok  ⇒  raw-skip ok with byte-for-byte the same extent;
 //   - encoding/json ok  ⇒  token-skip ok with the same extent (so on every
 //     input all oracles agree on valid values);
-//   - raw-skip error ⇒ token-skip error (the raw scans are strictly more
+//   - raw-skip error ⇒ token-skip error (the raw scan is strictly more
 //     permissive, never less).
 func checkSkipAgreement(t *testing.T, data []byte, chunk int) {
 	t.Helper()
-	endTok, errTok := runSkipMode(data, chunk, SkipTokens)
-	endRaw, errRaw := runSkipMode(data, chunk, SkipRawBytes)
-	endIdx, errIdx := runSkipMode(data, chunk, SkipIndexed)
-	if (errRaw == nil) != (errIdx == nil) || endRaw != endIdx {
-		t.Fatalf("chunk %d: raw modes diverge on %q: bytes(%d,%v) indexed(%d,%v)",
-			chunk, data, endRaw, errRaw, endIdx, errIdx)
+	endTok, errTok := runSkip(data, chunk, true)
+	endRaw, errRaw := runSkip(data, chunk, false)
+	endMem, errMem := runSkip(data, 0, false)
+	if (errRaw == nil) != (errMem == nil) || endRaw != endMem {
+		t.Fatalf("chunk %d: raw skip diverges from in-memory on %q: stream(%d,%v) memory(%d,%v)",
+			chunk, data, endRaw, errRaw, endMem, errMem)
 	}
-	if errRaw != nil && errIdx != nil && errRaw.Error() != errIdx.Error() {
-		t.Fatalf("chunk %d: raw error text diverges on %q: bytes %q, indexed %q",
-			chunk, data, errRaw, errIdx)
+	if errRaw != nil && errMem != nil && errRaw.Error() != errMem.Error() {
+		t.Fatalf("chunk %d: raw error text diverges from in-memory on %q: stream %q, memory %q",
+			chunk, data, errRaw, errMem)
 	}
 	if errTok == nil {
 		if errRaw != nil {
@@ -184,9 +181,9 @@ func skipCorpus() [][]byte {
 	return out
 }
 
-// TestRawSkipDifferentialCorpus runs the three-way differential (raw-skip vs
-// token-skip vs encoding/json) over the hand-written corpus at every chunk
-// size.
+// TestRawSkipDifferentialCorpus runs the skip differential (raw-skip vs
+// token-skip vs encoding/json, plus the raw scan's chunk invariance) over the
+// hand-written corpus at every chunk size.
 func TestRawSkipDifferentialCorpus(t *testing.T) {
 	for _, data := range skipCorpus() {
 		for _, chunk := range skipChunkSizes {
@@ -204,10 +201,8 @@ func TestRawSkipStructuralErrors(t *testing.T) {
 	}
 	for _, src := range bad {
 		for _, chunk := range skipChunkSizes {
-			for _, mode := range []SkipMode{SkipRawBytes, SkipIndexed} {
-				if _, err := runSkipMode([]byte(src), chunk, mode); err == nil {
-					t.Errorf("chunk %d mode %d: raw-skip accepted structurally broken %q", chunk, mode, src)
-				}
+			if _, err := runSkip([]byte(src), chunk, false); err == nil {
+				t.Errorf("chunk %d: raw-skip accepted structurally broken %q", chunk, src)
 			}
 		}
 	}
@@ -247,21 +242,18 @@ func ndjsonStream(vals []item.Item) []byte {
 }
 
 // TestQuickRawSkipMatchesTokenSkip is the core kernel property: for any
-// document, both skip modes consume byte-for-byte the same extent, at every
-// chunk size, and over NDJSON streams ScanValues projects identical results
-// in both modes.
+// document, the raw and the token-level skip consume byte-for-byte the same
+// extent, at every chunk size.
 func TestQuickRawSkipMatchesTokenSkip(t *testing.T) {
 	f := func(dp docAndPath) bool {
 		src := []byte(item.JSON(dp.Doc))
 		for _, chunk := range skipChunkSizes {
-			endTok, errTok := runSkipMode(src, chunk, SkipTokens)
-			for _, mode := range []SkipMode{SkipRawBytes, SkipIndexed} {
-				endRaw, errRaw := runSkipMode(src, chunk, mode)
-				if errTok != nil || errRaw != nil || endTok != endRaw {
-					t.Logf("doc=%s chunk=%d mode=%d: token(%d,%v) raw(%d,%v)",
-						src, chunk, mode, endTok, errTok, endRaw, errRaw)
-					return false
-				}
+			endTok, errTok := runSkip(src, chunk, true)
+			endRaw, errRaw := runSkip(src, chunk, false)
+			if errTok != nil || errRaw != nil || endTok != endRaw {
+				t.Logf("doc=%s chunk=%d: token(%d,%v) raw(%d,%v)",
+					src, chunk, endTok, errTok, endRaw, errRaw)
+				return false
 			}
 		}
 		return true
@@ -285,33 +277,31 @@ func TestQuickScanValuesModeEquivalence(t *testing.T) {
 		stream := ndjsonStream(vals)
 		path := randomPath(r)
 		for _, chunk := range skipChunkSizes[1:] {
-			got := make([]item.Sequence, len(skipModes))
-			count := make([]int, len(skipModes))
-			for mi, mode := range skipModes {
+			var got [2]item.Sequence
+			var count [2]int
+			for mi, reference := range []bool{true, false} {
 				l := NewStreamLexer(bytes.NewReader(stream), chunk)
-				l.SetSkipMode(mode)
+				l.SetReferenceSkip(reference)
 				c, err := ScanValues(l, path, -1, func(it item.Item) error {
 					got[mi] = append(got[mi], it)
 					return nil
 				})
 				if err != nil {
-					t.Fatalf("mode %d chunk %d: ScanValues(%s, %s): %v", mode, chunk, stream, path, err)
+					t.Fatalf("reference=%v chunk %d: ScanValues(%s, %s): %v", reference, chunk, stream, path, err)
 				}
 				count[mi] = c
 			}
-			for mi := 1; mi < len(skipModes); mi++ {
-				if count[mi] != count[0] || !item.EqualSeq(got[mi], got[0]) {
-					t.Fatalf("chunk %d: mode divergence on %s path %s: mode %d (%d)=%s tokens(%d)=%s",
-						chunk, stream, path, skipModes[mi], count[mi], item.JSONSeq(got[mi]), count[0], item.JSONSeq(got[0]))
-				}
+			if count[1] != count[0] || !item.EqualSeq(got[1], got[0]) {
+				t.Fatalf("chunk %d: skip divergence on %s path %s: raw(%d)=%s tokens(%d)=%s",
+					chunk, stream, path, count[1], item.JSONSeq(got[1]), count[0], item.JSONSeq(got[0]))
 			}
 		}
 	}
 }
 
-// FuzzRawSkipDifferential fuzzes the three-way skip differential (tokens vs
-// byte-class vs structural-index, cross-checked against encoding/json) over
-// every chunk size. `make fuzz-smoke` runs it briefly in CI; run `go test
+// FuzzRawSkipDifferential fuzzes the skip differential (structural-index raw
+// skip vs token-level reference, cross-checked against encoding/json, with
+// the raw skip's chunk invariance) over every chunk size. `make fuzz-smoke` runs it briefly in CI; run `go test
 // -fuzz=FuzzRawSkipDifferential ./internal/jsonparse` for a real session.
 func FuzzRawSkipDifferential(f *testing.F) {
 	for _, data := range skipCorpus() {

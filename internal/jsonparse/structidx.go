@@ -219,8 +219,8 @@ func stringEventMask(x uint64) uint64 {
 // so no carry crosses lanes). The fold-range also admits a few bytes that
 // are never structural (\ ^ _ | ~ DEL and some non-ASCII); those and the
 // loose-quote false positives are fine because callers re-check the byte at
-// the reported position and skip non-events — exactly what the byte-class
-// machine does with such bytes outside a string. Commas, colons and
+// the reported position and skip non-events, which do not change the skip
+// scanner's state outside a string. Commas, colons and
 // whitespace never change the skip scanner's state and are not probed.
 func structEventMask(x uint64) uint64 {
 	return (looseZeroLanes(x^swarQuote) | (((x | swarBit5) & swar7F) + swar05)) & swarHi

@@ -1,7 +1,6 @@
 package jsonparse
 
 import (
-	"bytes"
 	"math/rand"
 	"strings"
 	"testing"
@@ -344,37 +343,4 @@ func FuzzBoundaryScanner(f *testing.F) {
 			}
 		}
 	})
-}
-
-// TestIndexedSkipDefaultForLargeChunks pins the SkipAuto policy the bench
-// harness relies on: in-memory lexers and streams with chunks >= 4 KiB use
-// the structural-index kernel; smaller streaming windows fall back to the
-// byte-class scan.
-func TestIndexedSkipDefaultForLargeChunks(t *testing.T) {
-	data := []byte(`{"a":1}`)
-	if l := NewLexer(data); !l.indexedSkip() {
-		t.Error("in-memory lexer must default to the indexed skip")
-	}
-	big := NewStreamLexer(bytes.NewReader(data), 4096)
-	if err := big.Next(); err != nil {
-		t.Fatal(err)
-	}
-	if !big.indexedSkip() {
-		t.Error("4 KiB-chunk stream must default to the indexed skip")
-	}
-	small := NewStreamLexer(bytes.NewReader(data), 64)
-	if err := small.Next(); err != nil {
-		t.Fatal(err)
-	}
-	if small.indexedSkip() {
-		t.Error("64 B-chunk stream must fall back to the byte-class skip")
-	}
-	small.SetSkipMode(SkipIndexed)
-	if !small.indexedSkip() {
-		t.Error("explicit SkipIndexed must override the chunk-size policy")
-	}
-	big.SetSkipMode(SkipRawBytes)
-	if big.indexedSkip() {
-		t.Error("explicit SkipRawBytes must override the chunk-size policy")
-	}
 }

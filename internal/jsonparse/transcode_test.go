@@ -10,12 +10,6 @@ import (
 	"vxq/internal/item"
 )
 
-// encodedScanChunks are the refill-window sizes the transcoder differential
-// sweeps: 0 selects the in-memory slice lexer, 7 floors to the 64-byte
-// minimum window (a refill every few tokens), 64 is exactly one structural
-// block, and 4096 holds every test document whole.
-var encodedScanChunks = []int{0, 7, 64, 4096}
-
 // encodedScanPaths are the projections the corpus and fuzz tests apply: the
 // whole record, the DATASCAN shape of the sensor queries, a keys-or-members
 // step that yields object keys, and an index step.
@@ -68,7 +62,7 @@ func transcodedScan(tc *Transcoder, data []byte, chunk int, path Path, limit int
 // scan would show up in the next.
 func checkEncodedScan(t *testing.T, tc *Transcoder, data []byte, path Path, limit int64) {
 	t.Helper()
-	for _, chunk := range encodedScanChunks {
+	for _, chunk := range skipChunkSizes {
 		compareEncodedScan(t, tc, data, chunk, path, limit)
 	}
 }
@@ -237,7 +231,7 @@ func FuzzEncodedScan(f *testing.F) {
 		f.Add(data, byte(i))
 	}
 	f.Fuzz(func(t *testing.T, data []byte, sel byte) {
-		chunk := encodedScanChunks[int(sel)%len(encodedScanChunks)]
+		chunk := skipChunkSizes[int(sel)%len(skipChunkSizes)]
 		path := encodedScanPaths[int(sel/4)%len(encodedScanPaths)]
 		limit := int64(-1)
 		if sel&0x80 != 0 {

@@ -32,10 +32,6 @@ type Source interface {
 	// path: scans stream documents through it chunk by chunk, so peak
 	// memory stays O(chunk), not O(file).
 	Open(path string) (io.ReadCloser, error)
-	// ReadFile returns the raw bytes of one file. It is a compatibility
-	// shim over Open for the few consumers that genuinely need the whole
-	// file at once (e.g. decoding pre-converted binary ADM documents).
-	ReadFile(path string) ([]byte, error)
 }
 
 // RangeOpener is an optional Source capability: opening a file at a byte
@@ -72,19 +68,6 @@ type FileIdent struct {
 // (e.g. in-memory documents) and persistent caches must not cover it.
 type Identifier interface {
 	Ident(path string) (FileIdent, bool)
-}
-
-// ReadAll reads a whole file through src.Open. It is the canonical
-// implementation behind every Source's ReadFile compatibility shim.
-func ReadAll(src interface {
-	Open(path string) (io.ReadCloser, error)
-}, path string) ([]byte, error) {
-	rc, err := src.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer rc.Close()
-	return io.ReadAll(rc)
 }
 
 // CountingReader wraps an io.Reader and counts the bytes delivered, so
@@ -153,9 +136,6 @@ func (s *DirSource) Size(path string) (int64, error) {
 	return fi.Size(), nil
 }
 
-// ReadFile reads one whole file from disk (compatibility shim over Open).
-func (s *DirSource) ReadFile(path string) ([]byte, error) { return ReadAll(s, path) }
-
 // Ident reports a file's durable (size, mtime) identity from the filesystem.
 func (s *DirSource) Ident(path string) (FileIdent, bool) {
 	fi, err := os.Stat(path)
@@ -223,9 +203,6 @@ func (s *MemSource) lookup(path string) ([]byte, bool) {
 	}
 	return nil, false
 }
-
-// ReadFile returns a stored document (compatibility shim over Open).
-func (s *MemSource) ReadFile(path string) ([]byte, error) { return ReadAll(s, path) }
 
 // Ident reports ok=false: in-memory documents have no identity that survives
 // the process, so persistent caches must not cover them.

@@ -104,9 +104,9 @@ type Options struct {
 	// finer than MorselSize let warm scans skip individual morsels whose
 	// value range excludes a query's predicate, not just whole files.
 	IndexZoneGrain int64
-	// Staged selects the staged executor (sequential, per-task timing)
-	// instead of the default pipelined (goroutine) executor. Results are
-	// identical.
+	// Staged runs the executor's sequential schedule (one task at a time,
+	// clean per-task timing) instead of the default concurrent one (one
+	// goroutine per task). Results are identical.
 	Staged bool
 	// Profile collects per-operator metrics during execution and attaches
 	// the merged profile to Result.Profile. Collection wraps every operator
@@ -275,11 +275,6 @@ func (s *compositeSource) Open(path string) (io.ReadCloser, error) {
 		return rc, nil
 	}
 	return s.dirs.Open(path)
-}
-
-// ReadFile is the whole-file compatibility shim over Open.
-func (s *compositeSource) ReadFile(path string) ([]byte, error) {
-	return runtime.ReadAll(s, path)
 }
 
 // OpenRange opens a file at a byte offset, enabling morsel-split scans over
