@@ -39,11 +39,12 @@ bench-query:
 	$(GO) run ./cmd/benchscan -query -out BENCH_query.json
 
 # bench-cache measures cold vs warm repeated queries across the persistence
-# layers — structural-index sidecars, the compiled-plan cache, the result
+# layers — zone-map index sidecars, the compiled-plan cache, the result
 # cache — writing BENCH_cache.json. The run itself enforces the acceptance
-# gates (warm >= 3x cold, zero index rebuilds on sidecar-warm scans, morsel
-# skips on the selective case) and fails if any regresses;
-# TestCacheBenchSmoke runs the same gates in-process at a reduced scale.
+# gates (warm >= 3x cold, every warm repeat a plan or result hit, file and
+# morsel skips from BuildIndex sidecars on the selective case) and fails if
+# any regresses; TestCacheBenchSmoke runs the same gates in-process at a
+# reduced scale.
 bench-cache:
 	$(GO) run ./cmd/benchscan -cache -out BENCH_cache.json
 
@@ -86,13 +87,8 @@ profile-smoke:
 # fuzz-smoke runs the structural-kernel fuzzers briefly: the skip
 # differential (structural-index skip vs token-level reference, cross-checked
 # against encoding/json, plus the raw skip's chunk invariance against the
-# in-memory lexer), the record-boundary scanner against its scalar reference
-# over the chunk-size sweep, the speculative parallel indexer against the
-# sequential builder across worker/chunk/grain sweeps, and the encoded scan's
-# transcoder against encoding the parsed items.
-# Seeds under testdata/fuzz are always replayed.
+# in-memory lexer) and the encoded scan's transcoder against encoding the
+# parsed items. Seeds under testdata/fuzz are always replayed.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzRawSkipDifferential -fuzztime=10s ./internal/jsonparse
-	$(GO) test -run='^$$' -fuzz=FuzzBoundaryScanner -fuzztime=10s ./internal/jsonparse
-	$(GO) test -run='^$$' -fuzz=FuzzSpeculativeIndex -fuzztime=10s ./internal/jsonparse
 	$(GO) test -run='^$$' -fuzz=FuzzEncodedScan -fuzztime=10s ./internal/jsonparse

@@ -18,12 +18,11 @@ func (e cacheEngine) Query(q string) (bench.CacheRunStats, error) {
 		return bench.CacheRunStats{}, err
 	}
 	return bench.CacheRunStats{
-		Items:           len(res.Items),
-		PlanHit:         res.Cache.PlanHit,
-		ResultHit:       res.Cache.ResultHit,
-		FilesSkipped:    res.Stats.FilesSkipped,
-		MorselsSkipped:  res.Stats.MorselsSkipped,
-		ColdIndexBuilds: res.Stats.ColdIndexBuilds,
+		Items:          len(res.Items),
+		PlanHit:        res.Cache.PlanHit,
+		ResultHit:      res.Cache.ResultHit,
+		FilesSkipped:   res.Stats.FilesSkipped,
+		MorselsSkipped: res.Stats.MorselsSkipped,
 	}, nil
 }
 
@@ -37,16 +36,14 @@ func (e cacheEngine) SidecarStats() bench.CacheSidecarStats {
 }
 
 // cacheBenchEngine opens a fresh engine over the benchmark dataset. The
-// morsel size and cold-index gate are shrunk so the benchmark's modest files
-// still split into byte-range morsels and the first scan pays (and persists)
-// the structural-index pass, exactly as a multi-gigabyte file would under
-// the defaults.
+// morsel and zone sizes are shrunk so the benchmark's modest files still
+// split into byte-range morsels that per-zone stats can prune, exactly as a
+// multi-gigabyte file would under the defaults.
 func cacheBenchEngine(dir string, resultCache bool) (bench.CacheEngine, error) {
 	opts := vxq.Options{
-		Partitions:        2,
-		MorselSize:        64 << 10,
-		ColdIndexMinBytes: 1,
-		IndexZoneGrain:    16 << 10,
+		Partitions:     2,
+		MorselSize:     64 << 10,
+		IndexZoneGrain: 16 << 10,
 	}
 	if resultCache {
 		opts.ResultCacheBytes = 16 << 20

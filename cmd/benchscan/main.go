@@ -7,14 +7,14 @@
 // shapes, writing BENCH_parse.json. With -query it measures the binary
 // tuple kernel (encoded-key group-by, hash shuffle, hash join vs the eager
 // reference), writing BENCH_query.json. With -cache it measures cold versus
-// warm latency of repeated queries over an on-disk collection — structural
+// warm latency of repeated queries over an on-disk collection — zone-map
 // index sidecars, the compiled-plan cache and the result cache — writing
 // BENCH_cache.json (and failing if any cache-layer acceptance gate fails).
 //
 // Usage:
 //
 //	benchscan [-full] [-partitions 8] [-runs 3] [-out BENCH_scan.json]
-//	benchscan -parse [-parsedur 1s] [-workers 1,2,4,8] [-out BENCH_parse.json]
+//	benchscan -parse [-parsedur 1s] [-out BENCH_parse.json]
 //	benchscan -query [-querytuples 200000] [-querydur 1s] [-out BENCH_query.json]
 //	benchscan -cache [-cacherepeats 32] [-cacheconc 4] [-out BENCH_cache.json]
 //	benchscan -spill [-spillfactor 4] [-out BENCH_spill.json]
@@ -25,8 +25,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 	"time"
 
 	"vxq/internal/bench"
@@ -61,7 +59,6 @@ func main() {
 	out := flag.String("out", "", "output file (default BENCH_scan.json, or BENCH_parse.json with -parse)")
 	parse := flag.Bool("parse", false, "measure the parse kernel instead of the scan scheduler")
 	parseDur := flag.Duration("parsedur", time.Second, "minimum timed duration per parse-kernel configuration")
-	parseWorkers := flag.String("workers", "1,2,4,8", "comma-separated worker counts of the parallel-builder rows (with -parse)")
 	query := flag.Bool("query", false, "measure the binary tuple kernel (group-by/shuffle/join) instead of the scan scheduler")
 	queryDur := flag.Duration("querydur", time.Second, "minimum timed duration per query-kernel configuration")
 	queryTuples := flag.Int("querytuples", 200_000, "input tuples per query-kernel shape")
@@ -96,11 +93,7 @@ func main() {
 		if *out == "" {
 			*out = "BENCH_parse.json"
 		}
-		workers, err := parseWorkerList(*parseWorkers)
-		if err != nil {
-			fatal(err)
-		}
-		if err := runParseBench(*out, *parseDur, workers); err != nil {
+		if err := runParseBench(*out, *parseDur); err != nil {
 			fatal(err)
 		}
 		return
@@ -200,36 +193,12 @@ type parseReport struct {
 	TotalBytes    int64                       `json:"total_bytes"`
 	BitmapBuilder bench.BitmapBuilderResult   `json:"bitmap_builder"`
 	Shapes        map[string]parseShapeReport `json:"shapes"`
-	// ParallelBuilder holds the speculative parallel builder's scaling rows:
-	// the sequential BoundaryScanner baseline (workers == 0, speedup == 1)
-	// followed by one row per requested worker count, over a 64 MiB stream.
-	ParallelBuilder []bench.ParallelBuilderResult `json:"parallel_builder"`
 }
 
-// parseWorkerList parses the -workers flag ("1,2,4,8") into worker counts.
-func parseWorkerList(s string) ([]int, error) {
-	var workers []int
-	for _, f := range strings.Split(s, ",") {
-		f = strings.TrimSpace(f)
-		if f == "" {
-			continue
-		}
-		w, err := strconv.Atoi(f)
-		if err != nil || w < 1 {
-			return nil, fmt.Errorf("bad -workers entry %q", f)
-		}
-		workers = append(workers, w)
-	}
-	if len(workers) == 0 {
-		return nil, fmt.Errorf("-workers lists no worker counts")
-	}
-	return workers, nil
-}
-
-// runParseBench measures both skip paths on both acceptance shapes,
-// plus the standalone phase-1 bitmap builder and the speculative parallel
-// builder's scaling rows, and writes the BENCH_parse.json artifact.
-func runParseBench(out string, minDur time.Duration, workers []int) error {
+// runParseBench measures both skip paths on both acceptance shapes, plus
+// the standalone phase-1 bitmap builder, and writes the BENCH_parse.json
+// artifact.
+func runParseBench(out string, minDur time.Duration) error {
 	data, records := bench.ParseBenchStream(4 << 20)
 	rep := parseReport{
 		RecordBytes: int64(len(data)) / int64(records),
@@ -257,20 +226,6 @@ func runParseBench(out string, minDur time.Duration, workers []int) error {
 	rep.BitmapBuilder = bench.MeasureBitmapBuilder(data, minDur)
 	fmt.Printf("bitmap builder: %.2f GB/s, %.4f allocs/chunk\n",
 		rep.BitmapBuilder.GBPerSec, rep.BitmapBuilder.AllocsPerChunk)
-	bigData, _ := bench.ParseBenchStream(64 << 20)
-	pb, err := bench.MeasureParallelBuilder(bigData, workers, minDur)
-	if err != nil {
-		return err
-	}
-	rep.ParallelBuilder = pb
-	for _, r := range pb {
-		if r.Workers == 0 {
-			fmt.Printf("parallel builder baseline (sequential): %.0f MB/s over %d MiB\n",
-				r.MBPerSec, r.Bytes>>20)
-			continue
-		}
-		fmt.Printf("parallel builder %d workers: %.0f MB/s (%.2fx)\n", r.Workers, r.MBPerSec, r.Speedup)
-	}
 	buf, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
 		return err

@@ -122,11 +122,11 @@ func TestAsterixMaterializesMoreMemory(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		env := &hyracks.Env{Source: src}
-		if _, err := hyracks.RunStaged(c.Job, env); err != nil {
+		res, err := hyracks.RunStaged(c.Job, &hyracks.Env{Source: src})
+		if err != nil {
 			t.Fatal(err)
 		}
-		return env.Accountant.Peak()
+		return res.PeakMemory
 	}
 	vxq := run(core.AllRules())
 	asterix := core.AllRules()

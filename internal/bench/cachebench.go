@@ -1,5 +1,5 @@
 // Cache benchmark: cold versus warm latency of repeated queries over an
-// on-disk collection, exercising all three persistence layers — structural
+// on-disk collection, exercising all three persistence layers — zone-map
 // index sidecars, the compiled-plan cache, and the result cache. The driver
 // is parameterized over an injected engine: the root vxq package's own
 // benchmarks import this package, so this package cannot import vxq.
@@ -21,12 +21,11 @@ import (
 // CacheRunStats is what one query execution reports back to the cache
 // benchmark: item count plus the cache and pruning counters the gates check.
 type CacheRunStats struct {
-	Items           int
-	PlanHit         bool
-	ResultHit       bool
-	FilesSkipped    int64
-	MorselsSkipped  int64
-	ColdIndexBuilds int64
+	Items          int
+	PlanHit        bool
+	ResultHit      bool
+	FilesSkipped   int64
+	MorselsSkipped int64
 }
 
 // CacheSidecarStats counts an engine's sidecar traffic.
@@ -46,8 +45,8 @@ type CacheEngine interface {
 // with empty in-memory caches — a fresh process in miniature, so the only
 // warmth that can carry over between engines is what sidecars persist.
 // resultCache toggles the engine's result cache: the scan-repeat phase runs
-// without it so every repeat demonstrates a plan-cache hit plus a
-// sidecar-backed scan, not a memoized answer.
+// without it so every repeat demonstrates a plan-cache hit plus a real scan,
+// not a memoized answer.
 type CacheEngineFactory func(dir string, resultCache bool) (CacheEngine, error)
 
 // CacheBenchConfig sizes the cache benchmark.
@@ -58,13 +57,13 @@ type CacheBenchConfig struct {
 	// Files / RecordsPerFile / MeasurementsPerArray size the generated
 	// collection. Files must be >= 2 so file-level pruning has something
 	// to skip; each file must exceed the engine's morsel size so scans
-	// split and the cold boundary pass (and its sidecar write) triggers.
+	// split into morsels that per-zone stats can prune.
 	Files, RecordsPerFile, MeasurementsPerArray int
 	// Repeats is the number of timed hot executions per query (result
 	// cache on), spread over Concurrency goroutines sharing one engine.
 	Repeats, Concurrency int
 	// ScanRepeats is the number of timed warm-scan executions per query
-	// (result cache off: plan-cache hit + sidecar-backed scan each time).
+	// (result cache off: plan-cache hit + full scan each time).
 	ScanRepeats int
 }
 
@@ -115,31 +114,25 @@ type CacheQueryReport struct {
 	Query string `json:"query"`
 	Items int    `json:"items"`
 
-	// Cold: fresh engine, no sidecars on disk. The scan pays the full
-	// structural-index pass and leaves sidecars behind.
-	ColdSeconds     float64 `json:"cold_seconds"`
-	ColdIndexBuilds int64   `json:"cold_index_builds"`
-	SidecarWrites   int64   `json:"sidecar_writes"`
+	// Cold: fresh engine, no sidecars on disk, nothing cached.
+	ColdSeconds float64 `json:"cold_seconds"`
 
-	// Warm scans: a fresh engine (empty caches, result cache off),
-	// sidecars present. After one priming execution, ScanRepeats timed
-	// executions — each a plan-cache hit plus a sidecar-backed scan that
-	// rebuilds nothing. WarmScanSeconds is the per-execution average.
-	WarmScanSeconds         float64 `json:"warm_scan_seconds"`
-	WarmScanRepeats         int     `json:"warm_scan_repeats"`
-	WarmScanPlanHits        int64   `json:"warm_scan_plan_hits"`
-	WarmScanColdIndexBuilds int64   `json:"warm_scan_cold_index_builds"`
-	WarmScanSidecarLoads    int64   `json:"warm_scan_sidecar_loads"`
-	WarmScanSpeedup         float64 `json:"warm_scan_speedup"`
+	// Warm scans: a fresh engine (empty caches, result cache off). After
+	// one priming execution, ScanRepeats timed executions — each a
+	// plan-cache hit plus a full scan. WarmScanSeconds is the per-execution
+	// average.
+	WarmScanSeconds  float64 `json:"warm_scan_seconds"`
+	WarmScanRepeats  int     `json:"warm_scan_repeats"`
+	WarmScanPlanHits int64   `json:"warm_scan_plan_hits"`
+	WarmScanSpeedup  float64 `json:"warm_scan_speedup"`
 
 	// Hot repeats: another fresh engine with the result cache on. After
 	// one priming execution, Repeats timed executions under Concurrency
 	// goroutines — each a result-cache hit. WarmSeconds is the
 	// per-execution average.
-	WarmSeconds         float64 `json:"warm_seconds"`
-	WarmRepeats         int     `json:"warm_repeats"`
-	WarmResultHits      int64   `json:"warm_result_hits"`
-	WarmColdIndexBuilds int64   `json:"warm_cold_index_builds"`
+	WarmSeconds    float64 `json:"warm_seconds"`
+	WarmRepeats    int     `json:"warm_repeats"`
+	WarmResultHits int64   `json:"warm_result_hits"`
 
 	// Speedup is ColdSeconds / WarmSeconds.
 	Speedup float64 `json:"speedup"`
@@ -149,13 +142,12 @@ type CacheQueryReport struct {
 // selection over a date-indexed collection, run on a fresh engine whose
 // only warmth is the sidecars a previous engine's BuildIndex left behind.
 type CacheSelectiveReport struct {
-	Query           string  `json:"query"`
-	Items           int     `json:"items"`
-	Seconds         float64 `json:"seconds"`
-	FilesSkipped    int64   `json:"files_skipped"`
-	MorselsSkipped  int64   `json:"morsels_skipped"`
-	ColdIndexBuilds int64   `json:"cold_index_builds"`
-	SidecarLoads    int64   `json:"sidecar_loads"`
+	Query          string  `json:"query"`
+	Items          int     `json:"items"`
+	Seconds        float64 `json:"seconds"`
+	FilesSkipped   int64   `json:"files_skipped"`
+	MorselsSkipped int64   `json:"morsels_skipped"`
+	SidecarLoads   int64   `json:"sidecar_loads"`
 }
 
 // CacheDatasetInfo describes the generated collection.
@@ -184,21 +176,9 @@ func (r *CacheBenchReport) Check() error {
 	}
 	for _, q := range r.Queries {
 		switch {
-		case q.ColdIndexBuilds == 0:
-			return fmt.Errorf("cachebench %s: cold scan ran no structural-index pass", q.Name)
-		case q.SidecarWrites == 0:
-			return fmt.Errorf("cachebench %s: cold scan wrote no sidecars", q.Name)
-		case q.WarmScanColdIndexBuilds != 0:
-			return fmt.Errorf("cachebench %s: warm scans rebuilt %d structural indexes, want 0",
-				q.Name, q.WarmScanColdIndexBuilds)
-		case q.WarmScanSidecarLoads == 0:
-			return fmt.Errorf("cachebench %s: warm scans loaded no sidecars", q.Name)
 		case q.WarmScanPlanHits != int64(q.WarmScanRepeats):
 			return fmt.Errorf("cachebench %s: %d/%d warm scans hit the plan cache",
 				q.Name, q.WarmScanPlanHits, q.WarmScanRepeats)
-		case q.WarmColdIndexBuilds != 0:
-			return fmt.Errorf("cachebench %s: hot repeats rebuilt %d structural indexes, want 0",
-				q.Name, q.WarmColdIndexBuilds)
 		case q.WarmResultHits != int64(q.WarmRepeats):
 			return fmt.Errorf("cachebench %s: %d/%d hot repeats hit the result cache",
 				q.Name, q.WarmResultHits, q.WarmRepeats)
@@ -215,9 +195,6 @@ func (r *CacheBenchReport) Check() error {
 		return fmt.Errorf("cachebench selective: no files skipped")
 	case s.MorselsSkipped == 0:
 		return fmt.Errorf("cachebench selective: no morsels skipped")
-	case s.ColdIndexBuilds != 0:
-		return fmt.Errorf("cachebench selective: %d structural indexes rebuilt on a sidecar-warm scan, want 0",
-			s.ColdIndexBuilds)
 	case s.SidecarLoads == 0:
 		return fmt.Errorf("cachebench selective: no sidecars loaded")
 	}
@@ -291,8 +268,7 @@ func runCacheQuery(dir, name, query string, cfg CacheBenchConfig, newEngine Cach
 		return r, err
 	}
 
-	// Cold: fresh engine, bare directory. The scan pays the structural
-	// index pass and leaves the sidecars the warm phases live off.
+	// Cold: fresh engine, bare directory.
 	cold, err := newEngine(dir, true)
 	if err != nil {
 		return r, err
@@ -304,16 +280,13 @@ func runCacheQuery(dir, name, query string, cfg CacheBenchConfig, newEngine Cach
 	}
 	r.ColdSeconds = time.Since(start).Seconds()
 	r.Items = st.Items
-	r.ColdIndexBuilds = st.ColdIndexBuilds
-	r.SidecarWrites = cold.SidecarStats().Writes
 	if st.PlanHit || st.ResultHit {
 		return r, fmt.Errorf("cold run hit a cache (plan=%v result=%v): factory reuses state", st.PlanHit, st.ResultHit)
 	}
 
-	// Warm scans: fresh engine with the result cache off, sidecars
-	// present. One priming execution compiles the plan; every timed
-	// execution then hits the plan cache and re-runs the sidecar-backed
-	// scan, rebuilding nothing.
+	// Warm scans: fresh engine with the result cache off. One priming
+	// execution compiles the plan; every timed execution then hits the
+	// plan cache and re-runs the scan.
 	scanEng, err := newEngine(dir, false)
 	if err != nil {
 		return r, err
@@ -325,9 +298,6 @@ func runCacheQuery(dir, name, query string, cfg CacheBenchConfig, newEngine Cach
 	if st.Items != r.Items {
 		return r, fmt.Errorf("warm scan returned %d items, cold returned %d", st.Items, r.Items)
 	}
-	if st.ColdIndexBuilds != 0 {
-		return r, fmt.Errorf("priming warm scan rebuilt %d structural indexes", st.ColdIndexBuilds)
-	}
 	start = time.Now()
 	for i := 0; i < cfg.ScanRepeats; i++ {
 		st, err = scanEng.Query(query)
@@ -337,10 +307,8 @@ func runCacheQuery(dir, name, query string, cfg CacheBenchConfig, newEngine Cach
 		if st.PlanHit {
 			r.WarmScanPlanHits++
 		}
-		r.WarmScanColdIndexBuilds += st.ColdIndexBuilds
 	}
 	r.WarmScanSeconds = time.Since(start).Seconds() / float64(cfg.ScanRepeats)
-	r.WarmScanSidecarLoads = scanEng.SidecarStats().Loads
 	if r.WarmScanSeconds > 0 {
 		r.WarmScanSpeedup = r.ColdSeconds / r.WarmScanSeconds
 	}
@@ -358,11 +326,11 @@ func runCacheQuery(dir, name, query string, cfg CacheBenchConfig, newEngine Cach
 		return r, fmt.Errorf("hot priming run returned %d items, cold returned %d", st.Items, r.Items)
 	}
 	var (
-		wg                 sync.WaitGroup
-		issued             int64
-		resultHits, builds int64
-		errOnce            sync.Once
-		firstErr           error
+		wg         sync.WaitGroup
+		issued     int64
+		resultHits int64
+		errOnce    sync.Once
+		firstErr   error
 	)
 	start = time.Now()
 	for w := 0; w < cfg.Concurrency; w++ {
@@ -378,7 +346,6 @@ func runCacheQuery(dir, name, query string, cfg CacheBenchConfig, newEngine Cach
 				if st.ResultHit {
 					atomic.AddInt64(&resultHits, 1)
 				}
-				atomic.AddInt64(&builds, st.ColdIndexBuilds)
 			}
 		}()
 	}
@@ -389,7 +356,6 @@ func runCacheQuery(dir, name, query string, cfg CacheBenchConfig, newEngine Cach
 	}
 	r.WarmSeconds = wall / float64(cfg.Repeats)
 	r.WarmResultHits = resultHits
-	r.WarmColdIndexBuilds = builds
 	if r.WarmSeconds > 0 {
 		r.Speedup = r.ColdSeconds / r.WarmSeconds
 	}
@@ -414,8 +380,8 @@ where $d ge %q and $d lt %q
 return $d`, lo, hi)
 	r := CacheSelectiveReport{Query: query}
 
-	// An index build on one engine persists splits and per-zone date stats
-	// into the sidecars...
+	// An index build on one engine persists per-zone date stats into the
+	// sidecars...
 	builder, err := newEngine(dir, true)
 	if err != nil {
 		return r, err
@@ -441,7 +407,6 @@ return $d`, lo, hi)
 	r.Items = st.Items
 	r.FilesSkipped = st.FilesSkipped
 	r.MorselsSkipped = st.MorselsSkipped
-	r.ColdIndexBuilds = st.ColdIndexBuilds
 	r.SidecarLoads = reader.SidecarStats().Loads
 	return r, nil
 }

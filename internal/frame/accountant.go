@@ -41,8 +41,5 @@ func (a *Accountant) Current() int64 { return a.current.Load() }
 // Peak reports the high-water mark.
 func (a *Accountant) Peak() int64 { return a.peak.Load() }
 
-// Limit reports the configured limit (0 = unlimited).
-func (a *Accountant) Limit() int64 { return a.limit }
-
 // ResetPeak sets the peak back to the current consumption.
 func (a *Accountant) ResetPeak() { a.peak.Store(a.current.Load()) }

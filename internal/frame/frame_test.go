@@ -257,9 +257,6 @@ func TestAccountantLimit(t *testing.T) {
 	if a.Allocate(60) {
 		t.Error("120 > 100 should be denied")
 	}
-	if a.Limit() != 100 {
-		t.Errorf("limit = %d", a.Limit())
-	}
 }
 
 func TestAccountantConcurrent(t *testing.T) {

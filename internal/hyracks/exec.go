@@ -14,8 +14,10 @@ import (
 
 // Env configures a job execution.
 type Env struct {
-	Source     runtime.Source
-	FrameSize  int
+	Source    runtime.Source
+	FrameSize int
+	// Accountant is charged every byte the run holds (a private one per
+	// run when nil); Result.PeakMemory reports its high-water mark.
 	Accountant *frame.Accountant
 	// ChunkSize is the refill-buffer size of streaming scans
 	// (jsonparse.DefaultChunkSize when <= 0).
@@ -27,15 +29,6 @@ type Env struct {
 	// (DefaultMorselSize when <= 0): raw-JSON files larger than this are
 	// split into independently schedulable byte ranges.
 	MorselSize int64
-	// ColdIndexMinBytes gates the cold-scan boundary pass: a raw-JSON file
-	// at least this large with no recorded record-boundary index gets one
-	// from the speculative parallel indexer at queue-build time, so even the
-	// first scan of a huge file cuts morsels exactly on record starts
-	// (DefaultColdIndexMinBytes when 0; negative disables the pass).
-	ColdIndexMinBytes int64
-	// ColdIndexWorkers is the worker count of that pass (GOMAXPROCS when
-	// <= 0).
-	ColdIndexWorkers int
 	// EagerReference runs the job with TaskCtx.EagerDecode set: operators use
 	// their decoded-sequence reference implementations instead of the lazy
 	// encoded-domain paths. Differential tests compare both modes; benchmarks
@@ -58,25 +51,10 @@ type Env struct {
 	SpillDir string
 }
 
-func (e *Env) accountant() *frame.Accountant {
-	if e.Accountant == nil {
-		e.Accountant = frame.NewAccountant(0)
-	}
-	return e.Accountant
-}
-
-func (e *Env) morselOpts() morselOptions {
-	return morselOptions{
-		morselSize:       e.MorselSize,
-		coldIndexMin:     e.ColdIndexMinBytes,
-		coldIndexWorkers: e.ColdIndexWorkers,
-	}
-}
-
 // buildScanQueues prepares one morsel queue per scan fragment (pruning
 // zone-map-excluded files and morsels as a side effect) so every task of a
 // fragment drains the same queue. It returns the queues and the merged
-// pruning/cold-index counters.
+// pruning counters.
 func buildScanQueues(job *Job, env *Env, shared bool) (map[int]*morselQueue, queueStats, error) {
 	var (
 		queues map[int]*morselQueue
@@ -87,7 +65,7 @@ func buildScanQueues(job *Job, env *Env, shared bool) (map[int]*morselQueue, que
 		if !ok {
 			continue
 		}
-		q, sk, err := buildMorselQueue(env.Source, s, env.Indexes, f.Partitions, env.morselOpts(), shared)
+		q, sk, err := buildMorselQueue(env.Source, s, env.Indexes, f.Partitions, env.MorselSize, shared)
 		if err != nil {
 			return nil, queueStats{}, err
 		}
@@ -466,15 +444,9 @@ func scanMorsel(ctx *TaskCtx, sc *scanState, s ScanSource, m morsel) error {
 		if !ok {
 			return fmt.Errorf("source cannot open byte ranges")
 		}
-		if m.aligned {
-			// The split index guarantees start is a record start: open there
-			// directly, nothing to re-align.
-			base = m.start
-		} else {
-			// Open one byte early: if the byte at start-1 is the separating
-			// newline, the first record of this morsel starts exactly at start.
-			base = m.start - 1
-		}
+		// Open one byte early: if the byte at start-1 is the separating
+		// newline, the first record of this morsel starts exactly at start.
+		base = m.start - 1
 		rc, err = ro.OpenRange(m.file, base)
 	} else {
 		rc, err = src.Open(m.file)
@@ -505,10 +477,9 @@ func scanMorsel(ctx *TaskCtx, sc *scanState, s ScanSource, m morsel) error {
 }
 
 func scanMorselRecords(sc *scanState, s ScanSource, m morsel) error {
-	if !m.first && !m.aligned {
+	if !m.first {
 		// Align to the first record boundary at or after m.start: skip past
 		// the next newline. No newline left means no record starts here.
-		// (Aligned morsels were opened exactly at a known record start.)
 		ok, err := sc.lx.SkipPastNewline()
 		if err != nil || !ok {
 			return err

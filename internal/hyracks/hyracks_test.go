@@ -383,16 +383,16 @@ func TestOversizedTupleFlowsThrough(t *testing.T) {
 }
 
 func TestMemoryAccounting(t *testing.T) {
-	envSmallTuples := &Env{Source: testSource()}
-	if _, err := RunStaged(scanJob(1, measurementsPath()), envSmallTuples); err != nil {
+	smallTuples, err := RunStaged(scanJob(1, measurementsPath()), &Env{Source: testSource()})
+	if err != nil {
 		t.Fatal(err)
 	}
-	envWholeDocs := &Env{Source: testSource()}
-	if _, err := RunStaged(scanJob(1, nil), envWholeDocs); err != nil {
+	wholeDocs, err := RunStaged(scanJob(1, nil), &Env{Source: testSource()})
+	if err != nil {
 		t.Fatal(err)
 	}
-	small := envSmallTuples.Accountant.Peak()
-	whole := envWholeDocs.Accountant.Peak()
+	small := smallTuples.PeakMemory
+	whole := wholeDocs.PeakMemory
 	if small <= 0 || whole <= 0 {
 		t.Fatalf("peaks: small=%d whole=%d", small, whole)
 	}

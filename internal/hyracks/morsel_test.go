@@ -2,6 +2,7 @@ package hyracks
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"sort"
 	"strings"
@@ -90,6 +91,104 @@ func TestMorselScanEquivalence(t *testing.T) {
 			for i := range got {
 				if got[i] != want[i] {
 					t.Fatalf("morsel=%d parts=%d: item %d = %s, want %s", ms, parts, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// escapedNewlineFile builds newline-delimited records whose note strings are
+// dense with two-character escape sequences — \n, \", \\ — so that morsel
+// boundaries and 64-byte block boundaries land inside escapes and between a
+// backslash and its escaped character. A raw 0x0A never occurs inside a JSON
+// string (it must be escaped), so the only newline bytes are the record
+// separators; the scanner must not mistake the 'n' of a \n escape — or a
+// quote preceded by an even run of backslashes — for structure.
+func escapedNewlineFile(records int) []byte {
+	var sb strings.Builder
+	esc := strings.Repeat(`line\n`, 20) + strings.Repeat(`\\`, 31) + `\"quoted\"` + strings.Repeat(`\\n`, 13)
+	for i := 0; i < records; i++ {
+		fmt.Fprintf(&sb,
+			`{"root":[{"metadata":{"count":1},"results":[{"date":"2013-12-%02dT00:00","dataType":"TMIN","station":"E%06d","value":%d,"note":"%s"}]}]}`+"\n",
+			1+i%28, i, i%40, esc[i%7:]) // vary phase so escapes shift against block boundaries
+	}
+	return []byte(sb.String())
+}
+
+// TestMorselEscapedNewlineSpansBoundary is the string-spanning case: records
+// full of escaped newlines (backslash + 'n' — the only legal way to put a
+// newline in a JSON string) cut by morsel boundaries mid-string and
+// mid-escape. The newline re-alignment must deliver every record exactly
+// once.
+func TestMorselEscapedNewlineSpansBoundary(t *testing.T) {
+	docs := map[string][]byte{"escaped.json": escapedNewlineFile(60)}
+	src := &runtime.MemSource{Collections: map[string]map[string][]byte{"/sensors": docs}}
+	want := referenceItems(t, docs, measurementsPath())
+	if len(want) != 60 {
+		t.Fatalf("reference = %d items, want 60", len(want))
+	}
+	for _, ms := range []int64{128, 256, 512, 1 << 10} {
+		for _, parts := range []int{1, 3} {
+			env := func() *Env { return &Env{Source: src, MorselSize: ms} }
+			got := resultItems(runBoth(t, scanJob(parts, measurementsPath()), env))
+			if len(got) != len(want) {
+				t.Fatalf("morsel=%d parts=%d: %d items, want %d (record dropped or duplicated)",
+					ms, parts, len(got), len(want))
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("morsel=%d parts=%d: item %d differs", ms, parts, i)
+				}
+			}
+		}
+	}
+}
+
+// TestMorselSplitsOnlyNewlineDelimitedFiles: a file larger than the morsel
+// size is cut only when its first record ends on a newline before the first
+// cut. A pretty-printed document (newlines inside the one value, so a
+// re-aligned morsel would start mid-object) and a single-line document (no
+// newline to re-align to, so every non-first morsel would read to EOF for
+// nothing) must each run as one whole-file morsel and return the reference
+// result on both schedules.
+func TestMorselSplitsOnlyNewlineDelimitedFiles(t *testing.T) {
+	const ms = 4 << 10
+	var pretty bytes.Buffer
+	if err := json.Indent(&pretty, bigSensorFile(16<<10), "", "  "); err != nil {
+		t.Fatal(err)
+	}
+	for name, data := range map[string][]byte{
+		"pretty.json":  pretty.Bytes(),
+		"oneline.json": bigSensorFile(16 << 10),
+	} {
+		if len(data) <= ms {
+			t.Fatalf("%s: %d bytes, want more than the %d-byte morsel", name, len(data), ms)
+		}
+		docs := map[string][]byte{name: data}
+		src := &runtime.MemSource{Collections: map[string]map[string][]byte{"/sensors": docs}}
+		want := referenceItems(t, docs, measurementsPath())
+		if len(want) == 0 {
+			t.Fatalf("%s: reference produced no items", name)
+		}
+		for _, mode := range executors {
+			res, err := mode.run(scanJob(2, measurementsPath()), &Env{Source: src, MorselSize: ms})
+			if err != nil {
+				t.Fatalf("%s/%s: %v", name, mode.name, err)
+			}
+			morsels := 0
+			for _, tt := range res.Tasks {
+				morsels += tt.Morsels
+			}
+			if morsels != 1 {
+				t.Errorf("%s/%s: %d morsels, want 1 whole-file morsel", name, mode.name, morsels)
+			}
+			got := resultItems(res)
+			if len(got) != len(want) {
+				t.Fatalf("%s/%s: %d items, want %d", name, mode.name, len(got), len(want))
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("%s/%s: item %d = %s, want %s", name, mode.name, i, got[i], want[i])
 				}
 			}
 		}

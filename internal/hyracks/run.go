@@ -42,7 +42,10 @@ func run(job *Job, env *Env, sequential bool) (*Result, error) {
 	if err := job.Validate(); err != nil {
 		return nil, err
 	}
-	acct := env.accountant()
+	acct := env.Accountant
+	if acct == nil {
+		acct = frame.NewAccountant(0)
+	}
 	fs := env.FrameSize
 	if fs <= 0 {
 		fs = frame.DefaultFrameSize
@@ -157,7 +160,6 @@ func run(job *Job, env *Env, sequential bool) (*Result, error) {
 	res := &Result{Rows: collector.Rows, Tasks: times, PeakMemory: acct.Peak()}
 	res.Stats.FilesSkipped = qstats.filesSkipped
 	res.Stats.MorselsSkipped = qstats.morselsSkipped
-	res.Stats.ColdIndexBuilds = qstats.coldIndexBuilds
 	for _, st := range stats {
 		res.Stats.Add(st)
 	}

@@ -288,8 +288,10 @@ func (l *Lexer) Offset() int { return int(l.base) + l.pos }
 // values, never inside one), calling it when the cursor sits at the start of
 // a record yields the offset where that record's line begins — the anchor of
 // the morsel ownership rule. Newlines inside a value that SkipValueRaw scans
-// over are not tracked; such input violates the contract and is rejected
-// loudly by misaligned morsel scans rather than silently misattributed.
+// over are not tracked. A file whose first record already spans lines is
+// never split into morsels; one whose later records do violates the
+// contract and is rejected loudly by misaligned morsel scans rather than
+// silently misattributed.
 func (l *Lexer) LineStart() int64 { return l.lineStart }
 
 func (l *Lexer) errf(format string, args ...any) error {

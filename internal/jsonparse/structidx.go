@@ -12,10 +12,8 @@
 // the byte-at-a-time raw-skip state machine carries depth/string state.
 //
 // Phase 2 consumers never re-lex: the indexed skip (lexer.go) jumps
-// structural-to-structural through the Open/Close bitmaps, the indexed string
-// scan jumps to the next quote/backslash event, and the record-boundary
-// scanner (BoundaryScanner) turns the newline-outside-string bitmap into
-// exact morsel split points.
+// structural-to-structural through the Open/Close bitmaps, and the indexed
+// string scan jumps to the next quote/backslash event.
 //
 // Everything here is pure SWAR over uint64 words — no assembly, no unsafe —
 // so it runs on every GOARCH at a large multiple of the byte-loop's
@@ -133,9 +131,7 @@ type BlockMasks struct {
 
 // rawMasks holds the parity-independent byte-classification bitmaps of one
 // 64-byte block: pure character classes, before any escape or string state
-// is applied. The speculative parallel indexer (specidx.go) keeps these raw
-// layers per block so a chunk's masks can be finalized under either
-// in-string parity after stitching.
+// is applied.
 type rawMasks struct {
 	quote, bslash, open, close, comma, colon, nl, ctl uint64
 }
@@ -143,12 +139,11 @@ type rawMasks struct {
 // classifyBlock runs the SWAR character classification over one full 64-byte
 // block, writing the result through r. b must have at least 64 bytes.
 //
-// The outparam shape (instead of returning rawMasks by value) is what lets
-// IndexBlock and the speculative indexer share this one loop: the eight
-// accumulators live in registers for the whole loop and are stored exactly
-// once at the end, so a caller whose *rawMasks is a non-escaping stack slot
-// pays one 64-byte store instead of the return-slot copy that made the
-// by-value version ~14% slower for the fused sequential builder.
+// The outparam shape (instead of returning rawMasks by value) keeps the eight
+// accumulators in registers for the whole loop and stores them exactly once
+// at the end, so a caller whose *rawMasks is a non-escaping stack slot pays
+// one 64-byte store instead of the return-slot copy that made the by-value
+// version ~14% slower for the fused sequential builder.
 func classifyBlock(b []byte, r *rawMasks) {
 	var quote, bslash, open, close, comma, colon, nl, ctl uint64
 	_ = b[63]
@@ -189,10 +184,9 @@ func (r rawMasks) derive(escaped, inStr uint64) BlockMasks {
 // differential tests and the bitmap-builder benchmark exercise; the skip and
 // string hot loops use slimmer internal variants of the same arithmetic.
 //
-// The classification loop is shared with the speculative indexer via
-// classifyBlock; its outparam shape keeps this path free of the return-slot
-// copy that an earlier by-value version paid (the fused-loop bounds in
-// parse_bench_test.go pin the throughput either way).
+// The classification loop lives in classifyBlock; its outparam shape keeps
+// this path free of the return-slot copy that an earlier by-value version
+// paid (the fused-loop bounds in parse_bench_test.go pin the throughput).
 func IndexBlock(b []byte, st *StructState) BlockMasks {
 	var r rawMasks
 	classifyBlock(b, &r)
@@ -348,101 +342,4 @@ func structSeek(buf []byte, p int) int {
 		p++
 	}
 	return p
-}
-
-// BoundaryScanner is the phase-2 record-boundary iterator: fed the raw bytes
-// of a newline-delimited file in order (it is an io.Writer, designed to sit
-// on a TeeReader under a streaming scan), it walks the newline-outside-string
-// bitmap and records the first record start — the byte after a '\n' that
-// lies outside every string — at or after each multiple of grain. The
-// resulting split offsets are exact morsel boundaries: every one is the true
-// start of a record, with string state tracked from offset 0, so a newline
-// escape sequence (or any quote/backslash run) straddling a would-be
-// boundary can never produce a bogus split.
-//
-// The zero grain means "every record start" — unbounded memory on big files,
-// meant for tests. Peak state is otherwise O(splits), i.e. O(file/grain).
-type BoundaryScanner struct {
-	st     StructState
-	off    int64 // absolute offset of tail[0] (== bytes consumed - ntail)
-	grain  int64
-	next   int64 // smallest grid point not yet satisfied
-	splits []int64
-	tail   [64]byte // partial block carried between Write calls
-	ntail  int
-}
-
-// NewBoundaryScanner returns a scanner that records the first record start
-// at or after every multiple of grain bytes (every record start when grain
-// is 0). Offset 0 is always an implicit record start and is not recorded.
-func NewBoundaryScanner(grain int64) *BoundaryScanner {
-	if grain < 0 {
-		grain = 0
-	}
-	s := &BoundaryScanner{grain: grain}
-	s.next = grain
-	if grain == 0 {
-		s.next = 1
-	}
-	return s
-}
-
-// Write feeds the next bytes of the file. It never fails; the error is for
-// io.Writer conformance.
-func (s *BoundaryScanner) Write(p []byte) (int, error) {
-	n := len(p)
-	for len(p) > 0 {
-		if s.ntail > 0 || len(p) < 64 {
-			c := copy(s.tail[s.ntail:], p)
-			s.ntail += c
-			p = p[c:]
-			if s.ntail == 64 {
-				s.block(s.tail[:])
-				s.off += 64
-				s.ntail = 0
-			}
-			continue
-		}
-		s.block(p[:64])
-		s.off += 64
-		p = p[64:]
-	}
-	return n, nil
-}
-
-// Close flushes the partial final block. Padding bytes are zero, which can
-// never be '\n', so they add no boundaries.
-func (s *BoundaryScanner) Close() error {
-	if s.ntail > 0 {
-		for i := s.ntail; i < 64; i++ {
-			s.tail[i] = 0
-		}
-		s.block(s.tail[:])
-		s.off += int64(s.ntail)
-		s.ntail = 0
-	}
-	return nil
-}
-
-// Splits returns the recorded record-start offsets, ascending. Call after
-// Close.
-func (s *BoundaryScanner) Splits() []int64 { return s.splits }
-
-func (s *BoundaryScanner) block(b []byte) {
-	m := IndexBlock(b, &s.st)
-	nl := m.Newline
-	for nl != 0 {
-		i := bits.TrailingZeros64(nl)
-		nl &= nl - 1
-		start := s.off + int64(i) + 1
-		if start < s.next {
-			continue
-		}
-		s.splits = append(s.splits, start)
-		if s.grain == 0 {
-			s.next = start + 1
-		} else {
-			s.next = (start/s.grain + 1) * s.grain
-		}
-	}
 }

@@ -207,140 +207,3 @@ func TestStructSeekVisitsAllEvents(t *testing.T) {
 		}
 	}
 }
-
-// refBoundarySplits is the scalar reference for BoundaryScanner: track string
-// state byte by byte, record the first post-newline offset at or after every
-// grain point.
-func refBoundarySplits(data []byte, grain int64) []int64 {
-	var st refState
-	var splits []int64
-	next := grain
-	if grain == 0 {
-		next = 1
-	}
-	for i := 0; i < len(data); i++ {
-		c := data[i]
-		escaped := st.esc
-		if escaped {
-			st.esc = false
-		} else if c == '\\' {
-			st.esc = true
-		}
-		if c == '"' && !escaped {
-			st.inStr = !st.inStr
-		}
-		if c == '\n' && !st.inStr {
-			start := int64(i) + 1
-			if start >= next {
-				splits = append(splits, start)
-				if grain == 0 {
-					next = start + 1
-				} else {
-					next = (start/grain + 1) * grain
-				}
-			}
-		}
-	}
-	return splits
-}
-
-// TestBoundaryScannerMatchesReference sweeps write-chunk sizes across the
-// 64-byte block carry (1, 7, 63, 64, 65, whole) and several grains, including
-// zero (every record start), against the scalar reference.
-func TestBoundaryScannerMatchesReference(t *testing.T) {
-	for _, data := range structidxInputs() {
-		for _, grain := range []int64{0, 1, 5, 64, 4096} {
-			want := refBoundarySplits(data, grain)
-			for _, chunk := range []int{1, 7, 63, 64, 65, len(data)} {
-				if chunk == 0 {
-					continue
-				}
-				bs := NewBoundaryScanner(grain)
-				for off := 0; off < len(data); off += chunk {
-					end := off + chunk
-					if end > len(data) {
-						end = len(data)
-					}
-					bs.Write(data[off:end])
-				}
-				bs.Close()
-				got := bs.Splits()
-				if len(got) != len(want) {
-					t.Fatalf("grain=%d chunk=%d on %q: %d splits %v, want %d %v",
-						grain, chunk, data, len(got), got, len(want), want)
-				}
-				for i := range got {
-					if got[i] != want[i] {
-						t.Fatalf("grain=%d chunk=%d on %q: split %d = %d, want %d",
-							grain, chunk, data, i, got[i], want[i])
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestBoundaryScannerRecordStarts: on a well-formed NDJSON buffer with zero
-// grain, the splits are exactly the start offsets of records 2..n (offset 0
-// is implicit) plus the offset just past the final newline.
-func TestBoundaryScannerRecordStarts(t *testing.T) {
-	recs := [][]byte{
-		[]byte(`{"a":1,"note":"first\nrecord\\"}`),
-		[]byte(`{"b":[1,2,{"c":"x\n\ny"}]}`),
-		[]byte(`{"d":"` + strings.Repeat(`\\`, 33) + `"}`),
-		[]byte(`{"e":null}`),
-	}
-	var data []byte
-	var want []int64
-	for _, r := range recs {
-		data = append(data, r...)
-		data = append(data, '\n')
-		want = append(want, int64(len(data)))
-	}
-	bs := NewBoundaryScanner(0)
-	bs.Write(data)
-	bs.Close()
-	got := bs.Splits()
-	if len(got) != len(want) {
-		t.Fatalf("splits = %v, want %v", got, want)
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("split %d = %d, want %d", i, got[i], want[i])
-		}
-	}
-}
-
-// FuzzBoundaryScanner fuzzes the split scanner against the scalar reference
-// with fuzzer-chosen write chunking and grain. `make fuzz-smoke` runs it
-// briefly; seeds under testdata/fuzz are always replayed by plain `go test`.
-func FuzzBoundaryScanner(f *testing.F) {
-	f.Add([]byte("{\"a\":\"x\\n\"}\n{\"b\":2}\n"), byte(7), byte(1))
-	f.Add([]byte(strings.Repeat(`\`, 65)+"\"\n[]\n"), byte(64), byte(0))
-	f.Add([]byte("\"open string\n\n\n"), byte(1), byte(3))
-	f.Fuzz(func(t *testing.T, data []byte, chunkSel, grainSel byte) {
-		chunks := []int{1, 3, 7, 63, 64, 65, 1024}
-		grains := []int64{0, 1, 5, 64, 4096}
-		chunk := chunks[int(chunkSel)%len(chunks)]
-		grain := grains[int(grainSel)%len(grains)]
-		want := refBoundarySplits(data, grain)
-		bs := NewBoundaryScanner(grain)
-		for off := 0; off < len(data); off += chunk {
-			end := off + chunk
-			if end > len(data) {
-				end = len(data)
-			}
-			bs.Write(data[off:end])
-		}
-		bs.Close()
-		got := bs.Splits()
-		if len(got) != len(want) {
-			t.Fatalf("grain=%d chunk=%d: splits %v, want %v", grain, chunk, got, want)
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("grain=%d chunk=%d: split %d = %d, want %d", grain, chunk, i, got[i], want[i])
-			}
-		}
-	})
-}

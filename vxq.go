@@ -41,7 +41,6 @@ import (
 	"sync/atomic"
 
 	"vxq/internal/core"
-	"vxq/internal/frame"
 	"vxq/internal/hyracks"
 	"vxq/internal/index"
 	"vxq/internal/item"
@@ -78,26 +77,11 @@ type Options struct {
 	// materialized whole: the scan reads each file through a buffer of
 	// this size, so per-scan peak memory is O(chunk), not O(file).
 	ScanChunkSize int
-	// MemoryLimit bounds the engine's accounted memory in bytes
-	// (0 = unlimited). Exceeding it does not abort execution; it is
-	// reported through Result.PeakMemory versus the limit.
-	MemoryLimit int64
 	// MorselSize is the byte-range granularity of morsel-driven scans
 	// (default 4 MiB). Raw JSON files larger than this are split into
 	// independently schedulable byte ranges, so a handful of oversized files
 	// no longer serializes onto a single partition.
 	MorselSize int64
-	// ColdIndexMinBytes gates the cold-scan boundary pass: a raw JSON file at
-	// least this large with no recorded record-boundary index gets one from
-	// the speculative parallel indexer at scan setup, so even the first scan
-	// of a huge file cuts morsels exactly on record starts (default 32 MiB;
-	// negative disables the pass). The computed index is recorded in the
-	// engine's registry, so only the first scan of a file pays.
-	ColdIndexMinBytes int64
-	// IndexWorkers is the worker count of parallel index passes — the
-	// cold-scan boundary pass and large-file zone-map builds (default
-	// GOMAXPROCS).
-	IndexWorkers int
 	// IndexZoneGrain is the byte width of the per-zone min/max stats a
 	// BuildIndex/BuildIndexes pass records alongside its per-file ranges
 	// (index.DefaultZoneGrain when 0; negative disables zone stats). Zones
@@ -112,13 +96,13 @@ type Options struct {
 	// the merged profile to Result.Profile. Collection wraps every operator
 	// boundary; overhead is a few percent at most, and exactly zero when off.
 	Profile bool
-	// CacheDir is where persistent structural-index sidecars are written
+	// CacheDir is where persistent zone-map index sidecars are written
 	// ("" = next to each data file). Useful when data directories are
 	// read-only.
 	CacheDir string
-	// DisableSidecars turns off sidecar persistence entirely: indexes and
-	// record-boundary splits stay in-memory, nothing is written next to the
-	// data, and nothing is loaded from prior runs.
+	// DisableSidecars turns off sidecar persistence entirely: indexes stay
+	// in-memory, nothing is written next to the data, and nothing is loaded
+	// from prior runs.
 	DisableSidecars bool
 	// PlanCacheSize bounds the compiled-plan cache (entries): repeated
 	// queries — same text modulo whitespace, same rule options — skip
@@ -222,9 +206,8 @@ func (e *Engine) BuildIndex(collection, path string) error {
 }
 
 // BuildIndexes builds zone maps over several scalar paths of one collection
-// with a single scan of its files: each file is read once, every path's
-// min/max feeds off the same parsed records, and one boundary pass — the
-// speculative parallel indexer for large files — serves all of the maps.
+// with a single scan of its files: each file is read once and every path's
+// min/max feeds off the same parsed records.
 func (e *Engine) BuildIndexes(collection string, paths ...string) error {
 	if len(paths) == 0 {
 		return fmt.Errorf("vxq: no index paths")
@@ -238,7 +221,7 @@ func (e *Engine) BuildIndexes(collection string, paths ...string) error {
 		pp[i] = p
 	}
 	zms, err := index.BuildWith(e.source(), collection, pp,
-		index.BuildOptions{Workers: e.opts.IndexWorkers, ZoneGrain: e.opts.IndexZoneGrain})
+		index.BuildOptions{ZoneGrain: e.opts.IndexZoneGrain})
 	if err != nil {
 		return err
 	}
@@ -360,17 +343,14 @@ func (e *Engine) Query(query string) (*Result, error) {
 	}
 	gen := e.mountGen.Load()
 	env := &hyracks.Env{
-		Source:            e.source(),
-		FrameSize:         e.opts.FrameSize,
-		ChunkSize:         e.opts.ScanChunkSize,
-		Accountant:        frame.NewAccountant(e.opts.MemoryLimit),
-		Indexes:           e.indexes,
-		MorselSize:        e.opts.MorselSize,
-		ColdIndexMinBytes: e.opts.ColdIndexMinBytes,
-		ColdIndexWorkers:  e.opts.IndexWorkers,
-		Profile:           e.opts.Profile,
-		OpMemoryBudget:    e.opts.OpMemoryBudget,
-		SpillDir:          e.opts.SpillDir,
+		Source:         e.source(),
+		FrameSize:      e.opts.FrameSize,
+		ChunkSize:      e.opts.ScanChunkSize,
+		Indexes:        e.indexes,
+		MorselSize:     e.opts.MorselSize,
+		Profile:        e.opts.Profile,
+		OpMemoryBudget: e.opts.OpMemoryBudget,
+		SpillDir:       e.opts.SpillDir,
 	}
 	var res *hyracks.Result
 	if e.opts.Staged {
@@ -508,7 +488,7 @@ type CacheStats struct {
 	// ResultCacheBytes is the result cache's current accounted charge.
 	ResultCacheBytes int64
 	// SidecarLoads / SidecarMisses / SidecarWrites count persistent
-	// structural-index sidecar traffic.
+	// zone-map index sidecar traffic.
 	SidecarLoads, SidecarMisses, SidecarWrites int64
 }
 
