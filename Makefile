@@ -13,7 +13,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race . ./internal/hyracks ./internal/frame ./internal/cluster ./internal/jsonparse ./internal/index ./internal/item ./internal/runtime ./internal/spill
+	$(GO) test -race . ./internal/core ./internal/hyracks ./internal/frame ./internal/cluster ./internal/jsonparse ./internal/index ./internal/item ./internal/runtime ./internal/spill
 
 fmt:
 	gofmt -l .

@@ -274,3 +274,46 @@ func (o *DistributeResult) Label() string {
 
 // InputSlots implements Op.
 func (o *DistributeResult) InputSlots() []*Op { return []*Op{&o.In} }
+
+// ExprSlots returns a pointer to every scalar expression slot of op, in
+// operator order. It is the one list of an operator's expressions: the
+// rewrite rules, VarUsed and column pruning all read it, so an operator or
+// field added here is seen by every plan walker at once.
+func ExprSlots(op Op) []*Expr {
+	var s []*Expr
+	switch o := op.(type) {
+	case *Assign:
+		s = append(s, &o.E)
+	case *Select:
+		s = append(s, &o.Cond)
+	case *Unnest:
+		s = append(s, &o.E)
+	case *Aggregate:
+		s = appendAggSlots(s, o.Aggs)
+	case *GroupBy:
+		for i := range o.Keys {
+			s = append(s, &o.Keys[i].E)
+		}
+		s = appendAggSlots(s, o.Aggs)
+	case *Join:
+		s = append(s, &o.Cond)
+		for i := range o.LeftKeys {
+			s = append(s, &o.LeftKeys[i])
+		}
+		for i := range o.RightKeys {
+			s = append(s, &o.RightKeys[i])
+		}
+	case *Sort:
+		for i := range o.Keys {
+			s = append(s, &o.Keys[i].E)
+		}
+	}
+	return s
+}
+
+func appendAggSlots(s []*Expr, aggs []AggExpr) []*Expr {
+	for i := range aggs {
+		s = append(s, &aggs[i].Arg)
+	}
+	return s
+}

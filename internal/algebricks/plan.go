@@ -2,6 +2,7 @@ package algebricks
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -86,6 +87,57 @@ func Schema(op Op, outer []Var) []Var {
 		return Schema(o.In, outer)
 	default:
 		panic(fmt.Sprintf("algebricks: unknown operator %T", op))
+	}
+}
+
+// Walk visits op and every operator below it in pre-order, a SUBPLAN's
+// nested plan before its input.
+func Walk(op Op, visit func(Op)) {
+	visit(op)
+	if sp, ok := op.(*Subplan); ok {
+		Walk(sp.Nested, visit)
+	}
+	for _, in := range op.InputSlots() {
+		Walk(*in, visit)
+	}
+}
+
+// VarUsed reports whether v is referenced under root — by an expression,
+// or by a PROJECT or DISTRIBUTE-RESULT variable list — ignoring the
+// operators in skip (the ones a rule is about to remove or merge).
+func VarUsed(root Op, v Var, skip ...Op) bool {
+	used := false
+	Walk(root, func(op Op) {
+		if used || slices.Contains(skip, op) {
+			return
+		}
+		for _, e := range ExprSlots(op) {
+			used = used || UsesVar(*e, v)
+		}
+		switch o := op.(type) {
+		case *Project:
+			used = used || slices.Contains(o.Vs, v)
+		case *DistributeResult:
+			used = used || slices.Contains(o.Vs, v)
+		}
+	})
+	return used
+}
+
+// RewriteExprs applies f bottom-up to every subexpression of op's
+// expressions, in place.
+func RewriteExprs(op Op, f func(Expr) Expr) {
+	var rw func(e Expr) Expr
+	rw = func(e Expr) Expr {
+		if c, ok := e.(*CallExpr); ok {
+			for i, a := range c.Args {
+				c.Args[i] = rw(a)
+			}
+		}
+		return f(e)
+	}
+	for _, e := range ExprSlots(op) {
+		*e = rw(*e)
 	}
 }
 

@@ -19,9 +19,12 @@ func (s varSet) clone() varSet {
 	return out
 }
 
-func (s varSet) addExpr(e Expr) {
-	for _, v := range e.FreeVars(nil) {
-		s[v] = true
+// addExprs adds every variable op's expressions read.
+func (s varSet) addExprs(op Op) {
+	for _, e := range ExprSlots(op) {
+		for _, v := range (*e).FreeVars(nil) {
+			s[v] = true
+		}
 	}
 }
 
@@ -33,155 +36,36 @@ func PruneColumns(p *Plan) {
 		for _, v := range dr.Vs {
 			req[v] = true
 		}
-		dr.In = pruneOp(dr.In, req, nil)
+		pruneOp(dr.In, req, nil)
 	}
 }
 
-// pruneOp prunes the subtree rooted at op, given the set of variables its
-// consumers require, and returns the (possibly wrapped) operator. outer is
-// the schema a NestedTupleSource exposes.
-func pruneOp(op Op, required varSet, outer []Var) Op {
+// pruneOp prunes the subtree rooted at op in place, given the set of
+// variables its consumers require. outer is the schema a NestedTupleSource
+// exposes. One rule covers every operator: its inputs carry what its
+// consumers need, minus the variable it defines, plus what its expressions
+// read. AGGREGATE and GROUP-BY emit fresh tuples, so their inputs carry
+// only what they read.
+func pruneOp(op Op, required varSet, outer []Var) {
+	need := required.clone()
 	switch o := op.(type) {
-	case *EmptyTupleSource, *NestedTupleSource, *DataScan:
-		return op
-
+	case *Aggregate, *GroupBy:
+		need = varSet{}
 	case *Assign:
-		childReq := required.clone()
-		delete(childReq, o.V)
-		childReq.addExpr(o.E)
-		o.In = projectTo(pruneOp(o.In, childReq, outer), childReq, outer)
-		return o
-
-	case *Select:
-		childReq := required.clone()
-		childReq.addExpr(o.Cond)
-		o.In = projectTo(pruneOp(o.In, childReq, outer), childReq, outer)
-		return o
-
+		delete(need, o.V)
 	case *Unnest:
-		childReq := required.clone()
-		delete(childReq, o.V)
-		childReq.addExpr(o.E)
-		o.In = projectTo(pruneOp(o.In, childReq, outer), childReq, outer)
-		return o
-
-	case *Project:
-		o.In = projectTo(pruneOp(o.In, required, outer), required, outer)
-		return o
-
-	case *Sort:
-		childReq := required.clone()
-		for _, k := range o.Keys {
-			childReq.addExpr(k.E)
-		}
-		o.In = projectTo(pruneOp(o.In, childReq, outer), childReq, outer)
-		return o
-
-	case *Aggregate:
-		childReq := varSet{}
-		for _, a := range o.Aggs {
-			childReq.addExpr(a.Arg)
-		}
-		o.In = projectTo(pruneOp(o.In, childReq, outer), childReq, outer)
-		return o
-
-	case *GroupBy:
-		childReq := varSet{}
-		for _, k := range o.Keys {
-			childReq.addExpr(k.E)
-		}
-		for _, a := range o.Aggs {
-			childReq.addExpr(a.Arg)
-		}
-		o.In = projectTo(pruneOp(o.In, childReq, outer), childReq, outer)
-		return o
-
+		delete(need, o.V)
 	case *Subplan:
-		childReq := required.clone()
-		// The nested plan's expressions may reference outer variables.
-		collectNestedUses(o.Nested, childReq)
-		inSchema := Schema(o.In, outer)
-		o.Nested = pruneNested(o.Nested, inSchema)
-		o.In = projectTo(pruneOp(o.In, childReq, outer), childReq, outer)
-		return o
-
-	case *Join:
-		childReq := required.clone()
-		childReq.addExpr(o.Cond)
-		for _, e := range o.LeftKeys {
-			childReq.addExpr(e)
-		}
-		for _, e := range o.RightKeys {
-			childReq.addExpr(e)
-		}
-		o.Left = projectTo(pruneOp(o.Left, childReq, outer), childReq, outer)
-		o.Right = projectTo(pruneOp(o.Right, childReq, outer), childReq, outer)
-		return o
-
-	case *DistributeResult:
-		// Handled at the top level only.
-		return op
-
-	default:
-		return op
+		// The nested plan's expressions may reference outer variables
+		// (its own variables never occur in the outer schema).
+		Walk(o.Nested, need.addExprs)
+		// The nested root is an AGGREGATE, which requires nothing above.
+		pruneOp(o.Nested, nil, Schema(o.In, outer))
 	}
-}
-
-// pruneNested prunes inside a subplan's nested chain (its leaf sees the
-// outer schema).
-func pruneNested(root Op, outer []Var) Op {
-	agg, ok := root.(*Aggregate)
-	if !ok {
-		return root
-	}
-	req := varSet{}
-	for _, a := range agg.Aggs {
-		req.addExpr(a.Arg)
-	}
-	agg.In = projectTo(pruneOp(agg.In, req, outer), req, outer)
-	return agg
-}
-
-// collectNestedUses adds every variable referenced by the nested plan's
-// expressions to req (conservatively including nested-internal variables,
-// which simply never occur in the outer schema).
-func collectNestedUses(op Op, req varSet) {
-	for _, e := range nestedExprs(op) {
-		req.addExpr(e)
-	}
+	need.addExprs(op)
 	for _, in := range op.InputSlots() {
-		collectNestedUses(*in, req)
-	}
-	if sp, ok := op.(*Subplan); ok {
-		collectNestedUses(sp.Nested, req)
-	}
-}
-
-func nestedExprs(op Op) []Expr {
-	switch o := op.(type) {
-	case *Assign:
-		return []Expr{o.E}
-	case *Select:
-		return []Expr{o.Cond}
-	case *Unnest:
-		return []Expr{o.E}
-	case *Aggregate:
-		es := make([]Expr, len(o.Aggs))
-		for i, a := range o.Aggs {
-			es[i] = a.Arg
-		}
-		return es
-	case *GroupBy:
-		var es []Expr
-		for _, k := range o.Keys {
-			es = append(es, k.E)
-		}
-		for _, a := range o.Aggs {
-			es = append(es, a.Arg)
-		}
-		return es
-	default:
-		return nil
+		pruneOp(*in, need, outer)
+		*in = projectTo(*in, need, outer)
 	}
 }
 

@@ -17,96 +17,11 @@ func (RemoveUnusedAssign) Apply(p *Plan, slot *Op) (bool, error) {
 	if !ok {
 		return false, nil
 	}
-	if varUsed(p.Root, a.V, a) {
+	if VarUsed(p.Root, a.V, a) {
 		return false, nil
 	}
 	*slot = a.In
 	return true, nil
-}
-
-// varUsed reports whether v is referenced by any expression of the plan,
-// ignoring the expressions of skip (the operator being considered for
-// removal).
-func varUsed(root Op, v Var, skip Op) bool {
-	found := false
-	var visit func(op Op)
-	visit = func(op Op) {
-		if found {
-			return
-		}
-		if op != skip {
-			for _, e := range opExprs(op) {
-				if UsesVar(e, v) {
-					found = true
-					return
-				}
-			}
-			if dr, ok := op.(*DistributeResult); ok {
-				for _, rv := range dr.Vs {
-					if rv == v {
-						found = true
-						return
-					}
-				}
-			}
-			if pr, ok := op.(*Project); ok {
-				for _, pv := range pr.Vs {
-					if pv == v {
-						found = true
-						return
-					}
-				}
-			}
-		}
-		if sp, ok := op.(*Subplan); ok {
-			visit(sp.Nested)
-		}
-		for _, in := range op.InputSlots() {
-			visit(*in)
-		}
-	}
-	visit(root)
-	return found
-}
-
-// opExprs returns the scalar expressions embedded in an operator.
-func opExprs(op Op) []Expr {
-	switch o := op.(type) {
-	case *Assign:
-		return []Expr{o.E}
-	case *Select:
-		return []Expr{o.Cond}
-	case *Unnest:
-		return []Expr{o.E}
-	case *Aggregate:
-		es := make([]Expr, len(o.Aggs))
-		for i, a := range o.Aggs {
-			es[i] = a.Arg
-		}
-		return es
-	case *GroupBy:
-		var es []Expr
-		for _, k := range o.Keys {
-			es = append(es, k.E)
-		}
-		for _, a := range o.Aggs {
-			es = append(es, a.Arg)
-		}
-		return es
-	case *Join:
-		es := []Expr{o.Cond}
-		es = append(es, o.LeftKeys...)
-		es = append(es, o.RightKeys...)
-		return es
-	case *Sort:
-		es := make([]Expr, len(o.Keys))
-		for i, k := range o.Keys {
-			es[i] = k.E
-		}
-		return es
-	default:
-		return nil
-	}
 }
 
 // Conjuncts flattens nested and(...) calls into a list of conjuncts.

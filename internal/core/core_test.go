@@ -50,6 +50,28 @@ avg(
     and $r_max("dataType") eq "TMAX"
   return $r_max("value") - $r_min("value")
 ) div 10`
+
+	// Order-by keys over a grouped variable and over a let variable: the
+	// §4.3 treat removal and the §4.1/§4.2 merges must see the keys.
+	queryOrderByGroupCount = `
+for $r in collection("/sensors")("root")()("results")()
+group by $s := $r("station")
+order by count($r) descending, $s
+return $s`
+
+	queryOrderByLet = `
+for $m in collection("/sensors")("root")()
+let $x := $m("results")
+for $r in $x()
+order by count($x) descending, $r("date"), $r("dataType")
+return $r("value")`
+
+	queryOrderByGroupAvg = `
+for $r in collection("/sensors")("root")()("results")()
+group by $s := $r("station")
+let $n := count($r)
+order by avg($r("value")), $s
+return $n`
 )
 
 // sensorSource builds a small deterministic sensor collection:
@@ -88,6 +110,9 @@ func ruleConfigs() map[string]RuleConfig {
 	}
 }
 
+// runQuery compiles query and runs the job on both schedules, which must
+// return the same rows; it returns the sequential run's result with its rows
+// sorted.
 func runQuery(t *testing.T, query string, cfg RuleConfig, partitions int) *hyracks.Result {
 	t.Helper()
 	c, err := CompileQuery(query, Options{Rules: cfg, Partitions: partitions})
@@ -99,6 +124,14 @@ func runQuery(t *testing.T, query string, cfg RuleConfig, partitions int) *hyrac
 		t.Fatalf("RunStaged: %v\noptimized plan:\n%s\njob:\n%s", err, c.OptimizedPlan, c.Job)
 	}
 	res.SortRows()
+	pip, err := hyracks.RunPipelined(c.Job, &hyracks.Env{Source: sensorSource()})
+	if err != nil {
+		t.Fatalf("RunPipelined: %v\noptimized plan:\n%s\njob:\n%s", err, c.OptimizedPlan, c.Job)
+	}
+	pip.SortRows()
+	if got, want := rowsString(pip), rowsString(res); got != want {
+		t.Fatalf("schedules disagree:\n--- pipelined ---\n%s--- staged ---\n%s", got, want)
+	}
 	return res
 }
 
@@ -117,11 +150,14 @@ func rowsString(res *hyracks.Result) string {
 }
 
 // TestAllQueriesAllRuleConfigs is the central semantics-preservation test:
-// every paper query must produce identical results under every rule
-// configuration and partition count.
+// every paper query and order-by regression must produce identical results
+// under every rule configuration, partition count and schedule.
 func TestAllQueriesAllRuleConfigs(t *testing.T) {
 	queries := map[string]string{
 		"Q0": queryQ0, "Q0b": queryQ0b, "Q1": queryQ1, "Q1b": queryQ1b, "Q2": queryQ2,
+		"order-by-group-count": queryOrderByGroupCount,
+		"order-by-let":         queryOrderByLet,
+		"order-by-group-avg":   queryOrderByGroupAvg,
 	}
 	for qname, q := range queries {
 		var want string

@@ -70,7 +70,7 @@ func (MergeUnnestWithKeysOrMembers) Apply(p *algebricks.Plan, slot *algebricks.O
 	if !ok || kom.Fn != "keys-or-members" {
 		return false, nil
 	}
-	if varUsedOutside(p, asg.V, []algebricks.Op{un, asg}) {
+	if algebricks.VarUsed(p.Root, asg.V, un, asg) {
 		return false, nil
 	}
 	un.E = asg.E
@@ -89,7 +89,7 @@ func (RemovePromoteData) Name() string { return "remove-promote-data" }
 // Apply implements algebricks.Rule.
 func (RemovePromoteData) Apply(p *algebricks.Plan, slot *algebricks.Op) (bool, error) {
 	changed := false
-	rewriteOpExprs(*slot, func(e algebricks.Expr) algebricks.Expr {
+	algebricks.RewriteExprs(*slot, func(e algebricks.Expr) algebricks.Expr {
 		call, ok := e.(*algebricks.CallExpr)
 		if !ok || len(call.Args) != 1 {
 			return e
@@ -99,7 +99,7 @@ func (RemovePromoteData) Apply(p *algebricks.Plan, slot *algebricks.Op) (bool, e
 			changed = true
 			return call.Args[0]
 		case "data":
-			if isConstString(call.Args[0]) {
+			if _, ok := constString(call.Args[0]); ok {
 				changed = true
 				return call.Args[0]
 			}
@@ -107,15 +107,6 @@ func (RemovePromoteData) Apply(p *algebricks.Plan, slot *algebricks.Op) (bool, e
 		return e
 	})
 	return changed, nil
-}
-
-func isConstString(e algebricks.Expr) bool {
-	c, ok := e.(*algebricks.ConstExpr)
-	if !ok || len(c.Seq) != 1 {
-		return false
-	}
-	_, ok = c.Seq[0].(item.String)
-	return ok
 }
 
 // --- Pipelining rules --------------------------------------------------------
@@ -158,7 +149,7 @@ func (IntroduceDataScan) Apply(p *algebricks.Plan, slot *algebricks.Op) (bool, e
 	if _, ok := asg.In.(*algebricks.EmptyTupleSource); !ok {
 		return false, nil
 	}
-	if varUsedOutside(p, asg.V, []algebricks.Op{un, asg}) {
+	if algebricks.VarUsed(p.Root, asg.V, un, asg) {
 		return false, nil
 	}
 	*slot = &algebricks.DataScan{
@@ -250,7 +241,7 @@ func (r MergePathIntoDataScan) Apply(p *algebricks.Plan, slot *algebricks.Op) (b
 		if !ok {
 			return false, nil
 		}
-		if varUsedOutside(p, asg.V, []algebricks.Op{un, asg}) {
+		if algebricks.VarUsed(p.Root, asg.V, un, asg) {
 			return false, nil
 		}
 		scan = sc
@@ -258,7 +249,7 @@ func (r MergePathIntoDataScan) Apply(p *algebricks.Plan, slot *algebricks.Op) (b
 	} else {
 		return false, nil
 	}
-	if varUsedOutside(p, scan.V, inside) {
+	if algebricks.VarUsed(p.Root, scan.V, inside...) {
 		return false, nil
 	}
 
@@ -392,7 +383,11 @@ func (RemoveRedundantTreat) Apply(p *algebricks.Plan, slot *algebricks.Op) (bool
 	if !ok || treat.Fn != "treat" || len(treat.Args) != 1 {
 		return false, nil
 	}
-	substVarEverywhere(p.Root, asg.V, treat.Args[0])
+	algebricks.Walk(p.Root, func(op algebricks.Op) {
+		for _, e := range algebricks.ExprSlots(op) {
+			*e = algebricks.Subst(*e, asg.V, treat.Args[0])
+		}
+	})
 	*slot = asg.In
 	return true, nil
 }
@@ -590,8 +585,9 @@ func (PushAggregateIntoGroupBy) Apply(p *algebricks.Plan, slot *algebricks.Op) (
 	// group-by input expression, becomes the pushed-down aggregate.
 	pushedArg := algebricks.Subst(arg, un.V, gb.Aggs[idx].Arg)
 	newAgg := algebricks.AggExpr{V: agg.Aggs[0].V, Fn: agg.Aggs[0].Fn, Arg: pushedArg}
-	inside := append(opsInSubtree(sp.Nested), sp, gb)
-	if varUsedOutside(p, seqRef.V, inside) {
+	inside := []algebricks.Op{sp, gb}
+	algebricks.Walk(sp.Nested, func(op algebricks.Op) { inside = append(inside, op) })
+	if algebricks.VarUsed(p.Root, seqRef.V, inside...) {
 		// The sequence is still needed elsewhere: add the new aggregate
 		// alongside instead of replacing.
 		gb.Aggs = append(gb.Aggs, newAgg)
@@ -600,169 +596,6 @@ func (PushAggregateIntoGroupBy) Apply(p *algebricks.Plan, slot *algebricks.Op) (
 	}
 	*slot = gb
 	return true, nil
-}
-
-// --- shared helpers ----------------------------------------------------------
-
-// opsInSubtree lists every operator of a subtree, including nested plans.
-func opsInSubtree(root algebricks.Op) []algebricks.Op {
-	var out []algebricks.Op
-	var visit func(op algebricks.Op)
-	visit = func(op algebricks.Op) {
-		out = append(out, op)
-		if sp, ok := op.(*algebricks.Subplan); ok {
-			visit(sp.Nested)
-		}
-		for _, in := range op.InputSlots() {
-			visit(*in)
-		}
-	}
-	visit(root)
-	return out
-}
-
-// varUsedOutside reports whether v is referenced by any operator of the
-// plan other than those listed in inside.
-func varUsedOutside(p *algebricks.Plan, v algebricks.Var, inside []algebricks.Op) bool {
-	skip := make(map[algebricks.Op]bool, len(inside))
-	for _, op := range inside {
-		skip[op] = true
-	}
-	found := false
-	var visit func(op algebricks.Op)
-	visit = func(op algebricks.Op) {
-		if found {
-			return
-		}
-		if !skip[op] {
-			for _, e := range opExprsOf(op) {
-				if algebricks.UsesVar(e, v) {
-					found = true
-					return
-				}
-			}
-			if dr, ok := op.(*algebricks.DistributeResult); ok {
-				for _, rv := range dr.Vs {
-					if rv == v {
-						found = true
-						return
-					}
-				}
-			}
-			if pr, ok := op.(*algebricks.Project); ok {
-				for _, pv := range pr.Vs {
-					if pv == v {
-						found = true
-						return
-					}
-				}
-			}
-		}
-		if sp, ok := op.(*algebricks.Subplan); ok {
-			visit(sp.Nested)
-		}
-		for _, in := range op.InputSlots() {
-			visit(*in)
-		}
-	}
-	visit(p.Root)
-	return found
-}
-
-func opExprsOf(op algebricks.Op) []algebricks.Expr {
-	switch o := op.(type) {
-	case *algebricks.Assign:
-		return []algebricks.Expr{o.E}
-	case *algebricks.Select:
-		return []algebricks.Expr{o.Cond}
-	case *algebricks.Unnest:
-		return []algebricks.Expr{o.E}
-	case *algebricks.Aggregate:
-		es := make([]algebricks.Expr, len(o.Aggs))
-		for i, a := range o.Aggs {
-			es[i] = a.Arg
-		}
-		return es
-	case *algebricks.GroupBy:
-		var es []algebricks.Expr
-		for _, k := range o.Keys {
-			es = append(es, k.E)
-		}
-		for _, a := range o.Aggs {
-			es = append(es, a.Arg)
-		}
-		return es
-	case *algebricks.Join:
-		es := []algebricks.Expr{o.Cond}
-		es = append(es, o.LeftKeys...)
-		es = append(es, o.RightKeys...)
-		return es
-	default:
-		return nil
-	}
-}
-
-// substVarEverywhere replaces references to from with to in every
-// expression of the plan.
-func substVarEverywhere(root algebricks.Op, from algebricks.Var, to algebricks.Expr) {
-	var visit func(op algebricks.Op)
-	visit = func(op algebricks.Op) {
-		rewriteOpExprs(op, func(e algebricks.Expr) algebricks.Expr {
-			if v, ok := e.(*algebricks.VarExpr); ok && v.V == from {
-				return to.Clone()
-			}
-			return e
-		})
-		if sp, ok := op.(*algebricks.Subplan); ok {
-			visit(sp.Nested)
-		}
-		for _, in := range op.InputSlots() {
-			visit(*in)
-		}
-	}
-	visit(root)
-}
-
-// rewriteOpExprs applies f bottom-up to every (sub)expression of one
-// operator, in place.
-func rewriteOpExprs(op algebricks.Op, f func(algebricks.Expr) algebricks.Expr) {
-	rw := func(e algebricks.Expr) algebricks.Expr { return rewriteExpr(e, f) }
-	switch o := op.(type) {
-	case *algebricks.Assign:
-		o.E = rw(o.E)
-	case *algebricks.Select:
-		o.Cond = rw(o.Cond)
-	case *algebricks.Unnest:
-		o.E = rw(o.E)
-	case *algebricks.Aggregate:
-		for i := range o.Aggs {
-			o.Aggs[i].Arg = rw(o.Aggs[i].Arg)
-		}
-	case *algebricks.GroupBy:
-		for i := range o.Keys {
-			o.Keys[i].E = rw(o.Keys[i].E)
-		}
-		for i := range o.Aggs {
-			o.Aggs[i].Arg = rw(o.Aggs[i].Arg)
-		}
-	case *algebricks.Join:
-		o.Cond = rw(o.Cond)
-		for i := range o.LeftKeys {
-			o.LeftKeys[i] = rw(o.LeftKeys[i])
-		}
-		for i := range o.RightKeys {
-			o.RightKeys[i] = rw(o.RightKeys[i])
-		}
-	}
-}
-
-func rewriteExpr(e algebricks.Expr, f func(algebricks.Expr) algebricks.Expr) algebricks.Expr {
-	if c, ok := e.(*algebricks.CallExpr); ok {
-		for i, a := range c.Args {
-			c.Args[i] = rewriteExpr(a, f)
-		}
-	}
-	return f(e)
 }
 
 // --- Index rule (the paper's §6 future work) ---------------------------------

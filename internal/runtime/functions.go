@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"fmt"
+	"io"
 	"math"
 
 	"vxq/internal/item"
@@ -322,7 +323,8 @@ var (
 )
 
 // FnCollection reads and parses every file of a collection, returning the
-// sequence of documents. This is the unoptimized evaluation of the
+// sequence of its top-level values — every document of every file, so a
+// newline-delimited file yields one item per record, as DATASCAN does. This is the unoptimized evaluation of the
 // collection expression (§4.2, Fig. 5): the whole collection materializes
 // into a single tuple field. The pipelining rules replace it with DATASCAN.
 var FnCollection = register(&Function{
@@ -342,11 +344,17 @@ var FnCollection = register(&Function{
 		}
 		var out item.Sequence
 		for _, f := range files {
-			doc, err := readDoc(ctx, f)
+			err := readFile(ctx, f, func(r io.Reader) error {
+				_, err := jsonparse.ScanValues(jsonparse.NewStreamLexer(r, ctx.ScanChunkSize()), nil, -1,
+					func(doc item.Item) error {
+						out = append(out, doc)
+						return nil
+					})
+				return err
+			})
 			if err != nil {
 				return nil, err
 			}
-			out = append(out, doc)
 		}
 		if ctx.Accountant != nil {
 			ctx.Accountant.Allocate(item.SizeBytesSeq(out))
@@ -368,7 +376,11 @@ var FnJSONDoc = register(&Function{
 		if ctx == nil || ctx.Source == nil {
 			return nil, fmt.Errorf("no data source configured")
 		}
-		doc, err := readDoc(ctx, path)
+		var doc item.Item
+		err = readFile(ctx, path, func(r io.Reader) (err error) {
+			doc, err = jsonparse.ParseReader(r, ctx.ScanChunkSize())
+			return err
+		})
 		if err != nil {
 			return nil, err
 		}
@@ -376,14 +388,16 @@ var FnJSONDoc = register(&Function{
 	},
 })
 
-func readDoc(ctx *Ctx, path string) (item.Item, error) {
+// readFile opens path, hands its bytes to parse and counts them in
+// ctx.Stats; parse errors are prefixed with the path.
+func readFile(ctx *Ctx, path string, parse func(io.Reader) error) error {
 	rc, err := ctx.Source.Open(path)
 	if err != nil {
 		// Both Source implementations name the file in their open errors.
-		return nil, err
+		return err
 	}
 	cr := &CountingReader{R: rc}
-	doc, err := jsonparse.ParseReader(cr, ctx.ScanChunkSize())
+	err = parse(cr)
 	if cerr := rc.Close(); err == nil {
 		err = cerr
 	}
@@ -392,9 +406,9 @@ func readDoc(ctx *Ctx, path string) (item.Item, error) {
 		ctx.Stats.FilesRead++
 	}
 	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
+		return fmt.Errorf("%s: %w", path, err)
 	}
-	return doc, nil
+	return nil
 }
 
 func singletonString(s item.Sequence) (string, error) {

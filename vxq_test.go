@@ -10,10 +10,18 @@ import (
 
 func sensorEngine(t *testing.T, opts Options) *Engine {
 	t.Helper()
+	return sensorEngineLayout(t, opts, false)
+}
+
+// sensorEngineLayout is sensorEngine over either file layout: one root
+// document per file, or (split) one newline-delimited record per line.
+func sensorEngineLayout(t *testing.T, opts Options, split bool) *Engine {
+	t.Helper()
 	cfg := gen.Default()
 	cfg.Files = 4
 	cfg.RecordsPerFile = 4
 	cfg.MeasurementsPerArray = 10
+	cfg.SplitRecords = split
 	docs, _, err := cfg.InMemory()
 	if err != nil {
 		t.Fatal(err)
@@ -76,18 +84,23 @@ func TestRuleTogglesPreserveResults(t *testing.T) {
 		{DisableGroupByRules: true},
 		{DisablePipeliningRules: true},
 	}
+	// Both layouts hold the same records, so every run must agree. Without
+	// the pipelining rules collection() reads a split file itself, and must
+	// see every record, not just the first document.
 	var want []Item
-	for i, o := range variants {
-		res, err := sensorEngine(t, o).Query(apiQ1)
-		if err != nil {
-			t.Fatalf("variant %d: %v", i, err)
-		}
-		if want == nil {
-			want = res.Items
-			continue
-		}
-		if !item.EqualSeq(item.Sequence(res.Items), item.Sequence(want)) {
-			t.Errorf("variant %d results differ", i)
+	for _, split := range []bool{false, true} {
+		for i, o := range variants {
+			res, err := sensorEngineLayout(t, o, split).Query(apiQ1)
+			if err != nil {
+				t.Fatalf("split=%v variant %d: %v", split, i, err)
+			}
+			if want == nil {
+				want = res.Items
+				continue
+			}
+			if !item.EqualSeq(item.Sequence(res.Items), item.Sequence(want)) {
+				t.Errorf("split=%v variant %d results differ", split, i)
+			}
 		}
 	}
 }
